@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import decomposition, gasim, graph, oracles
+from . import decomposition, epistasis, gasim, graph, oracles
 from .model import (
     DEFAULT_CAP,
     AssumptionViolationError,
@@ -165,23 +165,28 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ProblemSpecError(f"unknown theorems: {sorted(unknown)}")
     eg = graph.build_eg(problem, args.cap)
+    # One weak-epistasis audit serves every report that rests on it.
+    weak = None
+    if {"decomposition", "blanket"} & set(wanted):
+        weak = epistasis.find_weak_epistases(problem, args.weak_order, args.cap)
     reports = []
     if "decomposition" in wanted:
         reports.append(
             oracles.verify_decomposition_theorem(
-                problem, args.weak_order, args.cap, eg=eg
+                problem, args.weak_order, args.cap, eg=eg, weak=weak
             )
         )
     if "blanket" in wanted:
         for v in range(problem.size):
             reports.append(
                 oracles.verify_blanket(
-                    problem, {v}, args.weak_order, args.cap, eg=eg,
-                    skip_weak_audit=bool(reports),
+                    problem, {v}, args.weak_order, args.cap, eg=eg, weak=weak
                 )
             )
     if "clique" in wanted:
         reports.append(oracles.verify_clique_structure(problem, args.cap, eg=eg))
+    for report in reports[1:]:  # the shared audit's order is shown once
+        report.audited_weak_order = None
     text = "\n\n".join(r.summary() for r in reports) + "\n"
     _emit(text, args.output)
     if not all(r.ok for r in reports):

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Assignment, EnumerationCapError, DEFAULT_CAP
+from .model import Assignment, EnumerationCapError, DEFAULT_CAP, bit_rows
 from .graph import EpistaticGraph
 
 
@@ -72,7 +72,7 @@ def test_so(problem, S: Iterable[int], population: np.ndarray) -> tuple[bool, As
     if n == 0:
         raise ValueError("population must be nonempty")
     npat = 2 ** len(S)
-    patterns = ((np.arange(npat)[:, None] >> np.arange(len(S) - 1, -1, -1)) & 1).astype(np.uint8)
+    patterns = bit_rows(np.arange(npat), len(S))
 
     variants = np.repeat(population, npat, axis=0)
     variants[:, S] = np.tile(patterns, (n, 1))

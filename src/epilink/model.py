@@ -11,7 +11,8 @@ exact integer comparisons.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,8 +23,8 @@ WILDCARD = "*"
 #: refusing.  Overridable per call.
 DEFAULT_CAP = 2 ** 24
 
-#: Chunk size for enumeration without a precomputed fitness table.
-_CHUNK = 2 ** 16
+#: Rows per ``evaluate_many`` call (log 2) when completions are streamed.
+_STREAM_BITS = 16
 
 
 class EnumerationCapError(RuntimeError):
@@ -169,97 +170,93 @@ class Assignment:
 EMPTY = Assignment()
 
 
-def apply_assignment(a: Assignment, bits: Sequence[int]) -> tuple[int, ...]:
-    return a.apply(bits)
-
-
-def coverage(a: Assignment) -> frozenset[int]:
-    return a.coverage
-
-
 @dataclass(frozen=True)
 class ConstrainedOptima:
     """All maximal-fitness completions of a partial assignment.
 
-    ``per_locus[v]`` is the exact set of alleles occurring at locus ``v``
-    across the maximizers; for assigned loci it is the singleton of the
-    assigned allele.
+    ``fitness`` is the maximal fitness and ``count`` the number of
+    completions reaching it.  ``per_locus[v]`` is the exact set of alleles
+    occurring at locus ``v`` across the maximizers; for assigned loci it is
+    the singleton of the assigned allele.  ``chromosomes`` lists the
+    maximizers in packed-index order; it is built on first access only,
+    since a scan can tie up to 2^(free loci) of them.
     """
 
-    chromosomes: tuple[tuple[int, ...], ...]
     fitness: int
+    count: int
     per_locus: dict[int, frozenset[int]]
+    _template: tuple[int, ...] = field(repr=False, compare=False)
+    _free: tuple[int, ...] = field(repr=False, compare=False)
+    _hits: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def chromosomes(self) -> tuple[tuple[int, ...], ...]:
+        rows = np.empty((self.count, len(self._template)), dtype=np.uint8)
+        rows[:] = self._template
+        rows[:, list(self._free)] = bit_rows(self._hits, len(self._free))
+        return tuple(map(tuple, rows.tolist()))
 
 
-def _enumeration_indices(problem, a: Assignment, cap: int):
-    """Free loci, their packed-bit weights, and the assigned-base index."""
-    size = problem.size
-    for v in a:
-        if v >= size:
-            raise ValueError(f"locus {v} out of range for problem size {size}")
-    free = [v for v in range(size) if v not in a]
-    if len(free) > 0 and 2 ** len(free) > cap:
-        raise EnumerationCapError(2 ** len(free), cap)
-    base = sum(a[v] << (size - 1 - v) for v in a)
-    weights = np.array([1 << (size - 1 - v) for v in free], dtype=np.int64)
-    return free, weights, base
+def bit_rows(indices, width: int) -> np.ndarray:
+    """The low ``width`` bits of each index as a uint8 row, most significant first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def completion_fitness(problem, a: Assignment) -> np.ndarray:
+    """Fitness of every completion of ``a`` through ``evaluate_many``; entry r
+    is the completion whose free loci spell r (lowest locus most significant)."""
+    free = [v for v in range(problem.size) if v not in a]
+    nlow = min(len(free), _STREAM_BITS)
+    high, low = free[:len(free) - nlow], free[len(free) - nlow:]
+    rows = np.zeros((2 ** nlow, problem.size), dtype=np.uint8)
+    for v, allele in a.items():
+        rows[:, v] = allele
+    rows[:, low] = bit_rows(np.arange(2 ** nlow), nlow)
+    out = np.empty(2 ** len(free), dtype=np.int64)
+    for chunk in range(2 ** len(high)):
+        rows[:, high] = unpack_bits(chunk, len(high))
+        out[chunk << nlow:(chunk + 1) << nlow] = problem.evaluate_many(rows)
+    return out
 
 
 def constrained_optima(problem, a: Assignment, cap: int = DEFAULT_CAP) -> ConstrainedOptima:
     """Exhaustively enumerate all completions of ``a`` and keep the maximizers."""
+    size = problem.size
+    for v in a:
+        if v >= size:
+            raise ValueError(f"locus {v} out of range for problem size {size}")
+    nfree = size - len(a)
+    if nfree > 0 and 2 ** nfree > cap:
+        raise EnumerationCapError(2 ** nfree, cap)
     cache = problem._psi_cache
     hit = cache.get(a)
     if hit is not None:
         return hit
 
-    size = problem.size
-    free, weights, base = _enumeration_indices(problem, a, cap)
-    nfree = len(free)
-
-    if nfree == 0:
-        bits = a.apply((0,) * size)
-        result = ConstrainedOptima(
-            chromosomes=(bits,),
-            fitness=problem.evaluate(bits),
-            per_locus={v: frozenset((bits[v],)) for v in range(size)},
-        )
-        cache[a] = result
-        return result
-
     table = problem.fitness_table()
-    best = None
-    best_rows: list[np.ndarray] = []
-    for start in range(0, 2 ** nfree, _CHUNK):
-        stop = min(start + _CHUNK, 2 ** nfree)
-        r = np.arange(start, stop, dtype=np.int64)
-        cols = (r[:, None] >> np.arange(nfree - 1, -1, -1)) & 1
-        if table is not None:
-            fits = table[base + cols @ weights]
-        else:
-            full = np.zeros((len(r), size), dtype=np.uint8)
-            for v, ass in a.items():
-                full[:, v] = ass
-            full[:, free] = cols
-            fits = problem.evaluate_many(full)
-        m = int(fits.max())
-        if best is None or m > best:
-            best = m
-            best_rows = [cols[fits == m]]
-        elif m == best:
-            best_rows.append(cols[fits == m])
-
-    sel = np.concatenate(best_rows)
-    template = a.apply((0,) * size)
-    chromosomes = []
-    for row in sel:
-        bits = list(template)
-        for j, v in enumerate(free):
-            bits[v] = int(row[j])
-        chromosomes.append(tuple(bits))
-    per_locus = {v: frozenset((a[v],)) for v in a}
+    if table is None:
+        values = completion_fitness(problem, a)
+    else:  # a view of the table as a 2x...x2 tensor, assigned axes fixed
+        index = [slice(None)] * size
+        for v, allele in a.items():
+            index[v] = allele
+        values = table.reshape((2,) * size)[tuple(index)]
+    best = values.max()
+    hits = np.flatnonzero(values == best)
+    # A hit's bits, most significant first, are the alleles of the free
+    # loci.  Allele 1 occurs iff its OR bit is set, allele 0 iff its AND bit
+    # is clear, so a locus takes the alleles range(AND bit, OR bit + 1).
+    ones = int(np.bitwise_or.reduce(hits))
+    all_ones = int(np.bitwise_and.reduce(hits))
+    free = tuple(v for v in range(size) if v not in a)
+    per_locus = {v: frozenset((allele,)) for v, allele in a.items()}
     for j, v in enumerate(free):
-        per_locus[v] = frozenset(int(x) for x in np.unique(sel[:, j]))
-    result = ConstrainedOptima(tuple(chromosomes), int(best), per_locus)
+        shift = nfree - 1 - j
+        per_locus[v] = frozenset(range((all_ones >> shift) & 1, ((ones >> shift) & 1) + 1))
+    result = ConstrainedOptima(
+        int(best), len(hits), per_locus, a.apply((0,) * size), free, hits
+    )
     cache[a] = result
     return result
 
@@ -276,17 +273,18 @@ def eval_assignment(problem, a: Assignment, cap: int = DEFAULT_CAP) -> int:
 
 def global_optimum(problem, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """The unique full-enumeration maximizer; errors out on ties."""
-    if problem._g is not None:
-        return problem._g
-    opt = constrained_optima(problem, EMPTY, cap)
-    if len(opt.chromosomes) != 1:
-        tied = sorted(opt.chromosomes)
-        raise AssumptionViolationError(
-            "global optimum is not unique; tied chromosomes: "
-            + ", ".join(bits_to_str(c) for c in tied),
-            tied,
-        )
-    problem._g = opt.chromosomes[0]
+    if 2 ** problem.size > cap:
+        raise EnumerationCapError(2 ** problem.size, cap)
+    if problem._g is None:
+        opt = constrained_optima(problem, EMPTY, cap)
+        if opt.count != 1:
+            tied = sorted(opt.chromosomes)
+            raise AssumptionViolationError(
+                "global optimum is not unique; tied chromosomes: "
+                + ", ".join(bits_to_str(c) for c in tied),
+                tied,
+            )
+        problem._g = opt.chromosomes[0]
     return problem._g
 
 

@@ -17,6 +17,7 @@ from .model import (
     all_assignments,
     bits_to_str,
     global_optimum,
+    pack_bits,
     psi_at,
     unpack_bits,
 )
@@ -81,27 +82,15 @@ def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> boo
     size = problem.size
     if size > ORACLE_MAX_BITS or 2 ** size > cap:
         raise EnumerationCapError(2 ** size, min(cap, 2 ** ORACLE_MAX_BITS))
-    table = problem.fitness_table()
     assigned = sorted(a.coverage)
-    free = sorted(set(range(size)) - a.coverage)
-
-    pat_weights = np.array([1 << (size - 1 - v) for v in assigned], dtype=np.int64)
-    npat = 2 ** len(assigned)
-    pat_bits = (np.arange(npat)[:, None] >> np.arange(len(assigned) - 1, -1, -1)) & 1
-    pat_offsets = pat_bits @ pat_weights
-    candidate = int(np.dot([a[v] for v in assigned], pat_weights))
-    candidate_col = int(np.where(pat_offsets == candidate)[0][0])
-
-    free_weights = np.array([1 << (size - 1 - v) for v in free], dtype=np.int64)
-    nfree = 2 ** len(free)
-    free_bits = (np.arange(nfree)[:, None] >> np.arange(len(free) - 1, -1, -1)) & 1
-    free_offsets = free_bits @ free_weights if free else np.zeros(1, dtype=np.int64)
-
-    fits = table[np.add.outer(free_offsets, pat_offsets)]
-    best = fits.max(axis=1)
-    return bool(
-        ((fits[:, candidate_col] == best) & ((fits == best[:, None]).sum(axis=1) == 1)).all()
-    )
+    free = [v for v in range(size) if v not in a]
+    # rows: completions of the free loci; columns: patterns on the coverage
+    fits = np.transpose(problem.fitness_table().reshape((2,) * size), free + assigned)
+    fits = fits.reshape(2 ** len(free), 2 ** len(assigned))
+    candidate = fits[:, [pack_bits(a[v] for v in assigned)]]
+    # the candidate beats every rival in every row iff it is the only
+    # entry of each row at or above its own value
+    return np.count_nonzero(fits >= candidate) == len(fits)
 
 
 def minimum_stationary_optimum(problem, v: int, cap: int = DEFAULT_CAP) -> Assignment:
@@ -126,16 +115,18 @@ def verify_decomposition_theorem(
     weak_order: int = 4,
     cap: int = DEFAULT_CAP,
     eg: _graph.EpistaticGraph | None = None,
+    weak: list[tuple[frozenset[int], int]] | None = None,
 ) -> TheoremReport:
     """Check coverage(minimum SO of v) == in-closure of v for every locus,
     plus the all-correct-pattern corollary.
 
     The claims are conditional on the absence of weak epistasis; when the
     bounded audit finds one, every claim is reported not-applicable with
-    the witnesses attached.
+    the witnesses attached.  ``weak`` passes in an audit already run.
     """
     report = TheoremReport(problem.name, audited_weak_order=weak_order)
-    weak = _ep.find_weak_epistases(problem, weak_order, cap)
+    if weak is None:
+        weak = _ep.find_weak_epistases(problem, weak_order, cap)
     if weak:
         for v in range(problem.size):
             onto_v = [S for S, w in weak if w == v]
@@ -172,14 +163,17 @@ def verify_blanket(
     cap: int = DEFAULT_CAP,
     eg: _graph.EpistaticGraph | None = None,
     skip_weak_audit: bool = False,
+    weak: list[tuple[frozenset[int], int]] | None = None,
 ) -> TheoremReport:
     """Check that correctly setting the direct in-neighbors of S keeps every
     correct allele on S constrained-optimal, for every assignment on the
-    loci beyond the second in-tier."""
+    loci beyond the second in-tier, unless the weak-epistasis audit (run
+    here, or passed in as ``weak``) finds a witness."""
     S = frozenset(S)
     report = TheoremReport(problem.name, audited_weak_order=None if skip_weak_audit else weak_order)
     if not skip_weak_audit:
-        weak = _ep.find_weak_epistases(problem, weak_order, cap, first_only=True)
+        if weak is None:
+            weak = _ep.find_weak_epistases(problem, weak_order, cap, first_only=True)
         if weak:
             Sw, vw = weak[0]
             report.add_na(

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import bits_from_str, pack_bits
+from .model import EMPTY, bits_from_str, completion_fitness, pack_bits
 
 FITNESS_SCALE = 2
 
@@ -47,8 +47,11 @@ class FitnessProblem:
 
     Subclasses implement the fitness over the permuted chromosome ``y``
     (``y[i] = x[permutation[i]]``); the identity permutation is the
-    default.  Instances are immutable after construction and safe to
-    share across workers.
+    default.  The fitness never changes after construction, but an
+    instance is not immutable: it fills caches lazily, with no locking —
+    constrained optima (``_psi_cache``, one entry per distinct assignment
+    asked, never evicted), the global optimum (``_g``) and the dense
+    fitness table (``_table``).  Each worker process fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -95,15 +98,7 @@ class FitnessProblem:
         if not self._table_built:
             self._table_built = True
             if self.size <= TABLE_MAX_BITS:
-                n = 2 ** self.size
-                shifts = np.arange(self.size - 1, -1, -1, dtype=np.int64)
-                out = np.empty(n, dtype=np.int64)
-                chunk = 2 ** 16
-                for start in range(0, n, chunk):
-                    r = np.arange(start, min(start + chunk, n), dtype=np.int64)
-                    bits = ((r[:, None] >> shifts) & 1).astype(np.uint8)
-                    out[start:start + len(r)] = self.evaluate_many(bits)
-                self._table = out
+                self._table = completion_fitness(self, EMPTY)
         return self._table
 
     def __repr__(self) -> str:

@@ -139,6 +139,17 @@ class TestVerify:
         assert "not-applicable" in out
         assert "[2, 4] => 3" in out
 
+    def test_cyctrap_blanket_audited_for_every_locus(self, capsys):
+        # weak epistases reach every locus, so no blanket claim applies
+        code, out, _ = run(
+            capsys, "verify", "--kind", "cyctrap", "--m", "4", "--weak-order", "2"
+        )
+        assert code == EXIT_OK
+        assert "fail" not in out
+        blanket = [line for line in out.splitlines() if "blanket holds" in line]
+        assert len(blanket) == 12
+        assert all("[not-applicable]" in line for line in blanket)
+
     def test_cniah_clique_not_applicable(self, capsys):
         code, out, _ = run(
             capsys,
@@ -239,6 +250,18 @@ class TestSpecFilesAndExitCodes:
         )
         assert code == EXIT_CAP
         assert "exceeds the cap" in err
+
+    def test_cap_exceeded_after_warm_run(self, capsys, monkeypatch):
+        # the same problem object serves both commands: its caches are warm
+        # for the second, which must still refuse the capped enumeration
+        from epilink import cli
+        from epilink.problems import CTrap
+
+        shared = CTrap(2)
+        monkeypatch.setattr(cli, "make_problem", lambda spec: shared)
+        for argv, expected in ((["--cap", "16"], EXIT_CAP), ([], EXIT_OK), (["--cap", "16"], EXIT_CAP)):
+            code, _, _ = run(capsys, "eg", "--kind", "ctrap", "--m", "2", *argv)
+            assert code == expected
 
     def test_assumption_violation(self, capsys, tmp_path):
         spec = tmp_path / "tie.json"

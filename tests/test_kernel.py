@@ -1,0 +1,184 @@
+"""The enumeration kernel against plain itertools brute force.
+
+``constrained_optima`` reads completions either as a view of the dense
+fitness table or, for problems too large to tabulate, streamed through
+``evaluate_many``.  Each property runs on both paths: the streaming path
+is reached by hiding the table, and its chunking by shrinking the chunk.
+"""
+
+import contextlib
+import itertools
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epilink import model
+from epilink.model import (
+    EMPTY,
+    Assignment,
+    EnumerationCapError,
+    bit_rows,
+    constrained_optima,
+    global_optimum,
+    unpack_bits,
+)
+from epilink.oracles import is_stationary_optimum
+from epilink.problems import CTrap, LeadingOnes, LookupTable
+
+PATHS = ("table", "stream", "stream-chunked")
+
+
+@st.composite
+def lookup_and_assignment(draw, max_size=10, min_assigned=0):
+    """A random half-integer lookup table and a random partial assignment
+    on it.  Tables with few distinct values make ties common; tables of all
+    distinct values make stationary optima common."""
+    size = draw(st.integers(1, max_size))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    levels = draw(st.sampled_from([1, 2, 3, 6, 2 ** size]))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels, size=2 ** size) / 2
+    loci = draw(st.lists(st.integers(0, size - 1), unique=True,
+                         min_size=min(min_assigned, size)))
+    alleles = draw(st.lists(st.integers(0, 1), min_size=len(loci), max_size=len(loci)))
+    return LookupTable(values.tolist()), Assignment(zip(loci, alleles))
+
+
+@contextlib.contextmanager
+def on_path(problem, path):
+    """Context in which ``constrained_optima`` takes the given path."""
+    with contextlib.ExitStack() as stack:
+        if path != "table":
+            stack.enter_context(patch.object(problem, "fitness_table", return_value=None))
+        if path == "stream-chunked":
+            stack.enter_context(patch.object(model, "_STREAM_BITS", 2))
+        yield
+
+
+def brute_force(problem, a):
+    """Maximizers of ``a``'s completions, in ascending packed order."""
+    free = [v for v in range(problem.size) if v not in a]
+    fits = {}
+    for pattern in itertools.product((0, 1), repeat=len(free)):
+        bits = a.apply(tuple(pattern[free.index(v)] if v in free else 0
+                             for v in range(problem.size)))
+        fits[bits] = problem.evaluate(bits)
+    best = max(fits.values())
+    return best, [c for c, f in fits.items() if f == best]
+
+
+class TestConstrainedOptimaDifferential:
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=lookup_and_assignment())
+    def test_matches_brute_force(self, path, case):
+        problem, a = case
+        best, maximizers = brute_force(problem, a)
+        with on_path(problem, path):
+            opt = constrained_optima(problem, a)
+        assert opt.fitness == best
+        assert opt.count == len(maximizers)
+        assert opt.chromosomes == tuple(maximizers)
+        for v in range(problem.size):
+            assert opt.per_locus[v] == frozenset(c[v] for c in maximizers)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_leadingones_tie(self, path):
+        # locus 0 fixed wrong: every completion ties at fitness 0
+        p = LeadingOnes(12)
+        with on_path(p, path):
+            opt = constrained_optima(p, Assignment(((0, 0),)))
+        assert (opt.fitness, opt.count) == (0, 2 ** 11)
+        assert all(opt.per_locus[v] == frozenset({0, 1}) for v in range(1, 12))
+        assert len(opt.chromosomes) == 2 ** 11
+        assert opt.chromosomes[0] == (0,) * 12 and opt.chromosomes[-1] == (0,) + (1,) * 11
+
+    def test_full_assignment_streamed(self):
+        p = CTrap(2)
+        c = (1, 1, 1, 1, 0, 1, 0, 0)
+        with on_path(p, "stream"):
+            opt = constrained_optima(p, Assignment(enumerate(c)))
+        assert (opt.fitness, opt.count, opt.chromosomes) == (p.evaluate(c), 1, (c,))
+
+
+class TestStreamingLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(case=lookup_and_assignment(max_size=8))
+    def test_completion_order(self, case):
+        problem, a = case
+        free = [v for v in range(problem.size) if v not in a]
+        with patch.object(model, "_STREAM_BITS", 2):
+            got = model.completion_fitness(problem, a)
+        want = []
+        for r in range(2 ** len(free)):
+            bits = dict(zip(free, unpack_bits(r, len(free))))
+            want.append(problem.evaluate(a.apply(tuple(bits.get(v, 0) for v in range(problem.size)))))
+        assert got.tolist() == want
+
+    def test_fitness_table_is_every_chromosome(self):
+        p = CTrap(3)
+        rows = np.array([unpack_bits(i, 12) for i in range(2 ** 12)], dtype=np.uint8)
+        table = p.fitness_table()
+        assert table.dtype == np.int64
+        assert np.array_equal(table, p.evaluate_many(rows))
+
+    @given(st.lists(st.integers(0, 2 ** 12 - 1), min_size=1, max_size=20), st.integers(12, 16))
+    def test_bit_rows_matches_unpack_bits(self, indices, width):
+        rows = bit_rows(indices, width)
+        assert rows.dtype == np.uint8
+        assert [tuple(r) for r in rows.tolist()] == [unpack_bits(i, width) for i in indices]
+
+
+def stationary_by_definition(problem, a):
+    """The pattern of ``a`` strictly beats every other pattern on its
+    coverage, for every completion of the remaining loci."""
+    assigned = sorted(a.coverage)
+    free = [v for v in range(problem.size) if v not in a]
+    for rest in itertools.product((0, 1), repeat=len(free)):
+        context = dict(zip(free, rest))
+
+        def fit(pattern):
+            full = {**context, **dict(zip(assigned, pattern))}
+            return problem.evaluate(tuple(full[v] for v in range(problem.size)))
+
+        mine = fit([a[v] for v in assigned])
+        for pattern in itertools.product((0, 1), repeat=len(assigned)):
+            if list(pattern) != [a[v] for v in assigned] and fit(pattern) >= mine:
+                return False
+    return True
+
+
+class TestStationaryOptimumDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lookup_and_assignment(max_size=8, min_assigned=1))
+    def test_matches_definition(self, case):
+        problem, a = case
+        assert is_stationary_optimum(problem, a) == stationary_by_definition(problem, a)
+
+
+class TestCapBeforeCache:
+    """The cap holds whatever the problem has already cached."""
+
+    def test_constrained_optima_fresh_and_warm(self):
+        fresh, warm = CTrap(2), CTrap(2)
+        constrained_optima(warm, EMPTY)
+        for p in (fresh, warm):
+            with pytest.raises(EnumerationCapError):
+                constrained_optima(p, EMPTY, cap=16)
+
+    def test_global_optimum_fresh_and_warm(self):
+        fresh, warm = CTrap(2), CTrap(2)
+        global_optimum(warm)
+        for p in (fresh, warm):
+            with pytest.raises(EnumerationCapError):
+                global_optimum(p, cap=16)
+
+    def test_under_cap_still_cached(self):
+        p = CTrap(2)
+        first = constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7)
+        assert constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7) is first
+        with pytest.raises(EnumerationCapError):
+            constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 6)
