@@ -8,12 +8,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import decomposition, epistasis, gasim, graph, oracles
+from .decomposition import pac_sweep
 from .model import (
     DEFAULT_CAP,
     AssumptionViolationError,
@@ -22,6 +20,7 @@ from .model import (
     global_optimum,
 )
 from .problems import (
+    KINDS,
     ProblemSpecError,
     make_problem,
     unscale,
@@ -33,17 +32,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_THEOREM = 4
 EXIT_ASSUMPTION = 5
-
-_KNOWN_KINDS = (
-    "onemax",
-    "leadingones",
-    "ctrap",
-    "cyctrap",
-    "cniah",
-    "leadingtraps",
-    "onemax-prime-blocks",
-    "lookup-table",
-)
 
 
 def _load_problem(args):
@@ -205,41 +193,6 @@ def _pac_threshold(k: int, size: int, delta: float):
     return n, f"2^{exponent} * {factor_log} = {n}"
 
 
-@dataclass
-class PacSweepRow:
-    n: int
-    runs: int
-    success_rate: float
-    wrong_rate: float
-    failure_rate: float
-    mean_evaluations: float
-
-
-def pac_sweep(problem, n_values, runs, seed, cap=DEFAULT_CAP) -> list[PacSweepRow]:
-    """IPE success statistics across population sizes, with wrong answers
-    and explicit failures tallied separately."""
-    g = global_optimum(problem, cap)
-    root = np.random.default_rng(seed)
-    rows = []
-    for n in n_values:
-        seeds = root.integers(0, 2 ** 63, size=runs)
-        success = wrong = failed = 0
-        evals = 0
-        for s in seeds:
-            result = decomposition.ipe(problem, n, int(s))
-            evals += result.trace.evaluations
-            if not result.succeeded:
-                failed += 1
-            elif result.chromosome == g:
-                success += 1
-            else:
-                wrong += 1
-        rows.append(
-            PacSweepRow(n, runs, success / runs, wrong / runs, failed / runs, evals / runs)
-        )
-    return rows
-
-
 def cmd_pac_sweep(args) -> int:
     problem = _load_problem(args)
     if args.delta <= 0 or args.delta >= 1:
@@ -303,7 +256,7 @@ def cmd_weak_observability(args) -> int:
 
 
 def cmd_list_problems(args) -> int:
-    _emit("\n".join(_KNOWN_KINDS) + "\n", args.output)
+    _emit("\n".join(KINDS) + "\n", args.output)
     return EXIT_OK
 
 

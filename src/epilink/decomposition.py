@@ -9,7 +9,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Assignment, EnumerationCapError, DEFAULT_CAP, bit_rows
+from .model import (
+    DEFAULT_CAP,
+    Assignment,
+    EnumerationCapError,
+    bit_rows,
+    completion_fitness,
+    global_optimum,
+    unpack_bits,
+)
 from .graph import EpistaticGraph
 
 
@@ -28,8 +36,10 @@ def partial_enumeration(
 ) -> PEResult:
     """Enumerate each block of the partition in order, keeping strict improvements.
 
-    Costs exactly 1 + sum(2^|block|) fitness evaluations.  With the
-    one-block partition this is plain full enumeration.
+    Costs exactly 1 + sum(2^|block|) fitness evaluations: the random start,
+    then every pattern of each block written into the current chromosome,
+    one block per ``evaluate_many`` stream.  With the one-block partition
+    this is plain full enumeration.
     """
     blocks = [sorted(set(b)) for b in partition]
     flat = [v for b in blocks for v in b]
@@ -41,15 +51,17 @@ def partial_enumeration(
 
     rng = np.random.default_rng(seed)
     y = tuple(int(x) for x in rng.integers(0, 2, size=problem.size))
-    best = problem.evaluate(y)
+    best = int(problem.evaluate_many(np.array([y], dtype=np.uint8))[0])
     evaluations = 1
     for b in blocks:
-        for pattern in itertools.product((0, 1), repeat=len(b)):
-            candidate = Assignment(zip(b, pattern)).apply(y)
-            fit = problem.evaluate(candidate)
-            evaluations += 1
-            if fit > best:
-                y, best = candidate, fit
+        # Every candidate rewrites all of b, so keeping strict improvements
+        # in pattern order keeps the first maximum if it beats ``best``.
+        fits = completion_fitness(problem, Assignment.batch_pattern(set(flat).difference(b), y))
+        evaluations += len(fits)
+        top = int(fits.argmax())
+        if fits[top] > best:
+            y = Assignment(zip(b, unpack_bits(top, len(b)))).apply(y)
+            best = int(fits[top])
     return PEResult(y, best, evaluations)
 
 
@@ -193,3 +205,38 @@ def trace_topological_check(trace: DecompositionTrace, G: EpistaticGraph) -> boo
                 if G.has_edge(u, s):
                     return False
     return True
+
+
+@dataclass
+class PacSweepRow:
+    n: int
+    runs: int
+    success_rate: float
+    wrong_rate: float
+    failure_rate: float
+    mean_evaluations: float
+
+
+def pac_sweep(problem, n_values, runs, seed, cap=DEFAULT_CAP) -> list[PacSweepRow]:
+    """IPE success statistics across population sizes, with wrong answers
+    and explicit failures tallied separately."""
+    g = global_optimum(problem, cap)
+    root = np.random.default_rng(seed)
+    rows = []
+    for n in n_values:
+        seeds = root.integers(0, 2 ** 63, size=runs)
+        success = wrong = failed = 0
+        evals = 0
+        for s in seeds:
+            result = ipe(problem, n, int(s))
+            evals += result.trace.evaluations
+            if not result.succeeded:
+                failed += 1
+            elif result.chromosome == g:
+                success += 1
+            else:
+                wrong += 1
+        rows.append(
+            PacSweepRow(n, runs, success / runs, wrong / runs, failed / runs, evals / runs)
+        )
+    return rows

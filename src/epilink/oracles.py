@@ -162,7 +162,6 @@ def verify_blanket(
     weak_order: int = 4,
     cap: int = DEFAULT_CAP,
     eg: _graph.EpistaticGraph | None = None,
-    skip_weak_audit: bool = False,
     weak: list[tuple[frozenset[int], int]] | None = None,
 ) -> TheoremReport:
     """Check that correctly setting the direct in-neighbors of S keeps every
@@ -170,17 +169,16 @@ def verify_blanket(
     loci beyond the second in-tier, unless the weak-epistasis audit (run
     here, or passed in as ``weak``) finds a witness."""
     S = frozenset(S)
-    report = TheoremReport(problem.name, audited_weak_order=None if skip_weak_audit else weak_order)
-    if not skip_weak_audit:
-        if weak is None:
-            weak = _ep.find_weak_epistases(problem, weak_order, cap, first_only=True)
-        if weak:
-            Sw, vw = weak[0]
-            report.add_na(
-                f"blanket holds for S={sorted(S)}",
-                f"weak epistasis found: {sorted(Sw)} => {vw}",
-            )
-            return report
+    report = TheoremReport(problem.name, audited_weak_order=weak_order)
+    if weak is None:
+        weak = _ep.find_weak_epistases(problem, weak_order, cap, first_only=True)
+    if weak:
+        Sw, vw = weak[0]
+        report.add_na(
+            f"blanket holds for S={sorted(S)}",
+            f"weak epistasis found: {sorted(Sw)} => {vw}",
+        )
+        return report
     G = eg if eg is not None else _graph.build_eg(problem, cap)
     g = global_optimum(problem, cap)
     tier1 = _graph.in_set(G, S, 1)

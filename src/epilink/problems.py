@@ -27,6 +27,8 @@ def unscale(value: int) -> float:
     return out
 
 
+# trap4 and niah4 are the scalar reference formulas of the block kinds,
+# against which the tests check the batched fitness.
 def trap4(b0: int, b1: int, b2: int, b3: int) -> int:
     """Deceptive 4-bit trap: 4 when all ones, else 3 minus the number of ones."""
     u = b0 + b1 + b2 + b3
@@ -45,13 +47,14 @@ def _trap_many(u: np.ndarray) -> np.ndarray:
 class FitnessProblem:
     """Pure, deterministic chromosome -> fitness contract.
 
-    Subclasses implement the fitness over the permuted chromosome ``y``
-    (``y[i] = x[permutation[i]]``); the identity permutation is the
-    default.  The fitness never changes after construction, but an
-    instance is not immutable: it fills caches lazily, with no locking —
-    constrained optima (``_psi_cache``, one entry per distinct assignment
-    asked, never evicted), the global optimum (``_g``) and the dense
-    fitness table (``_table``).  Each worker process fills its own copy.
+    Each kind states its fitness once, as ``raw_evaluate_many`` over rows
+    of permuted chromosomes ``y`` (``y[i] = x[permutation[i]]``); the
+    identity permutation is the default.  The fitness never changes after
+    construction, but an instance is not immutable: it fills caches
+    lazily, with no locking — constrained optima (``_psi_cache``, one entry
+    per distinct assignment asked, never evicted), the global optimum
+    (``_g``) and the dense fitness table (``_table``).  Each worker process
+    fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -71,19 +74,13 @@ class FitnessProblem:
         self._table: np.ndarray | None = None
         self._table_built = False
 
-    # fitness over the permuted chromosome, scaled
-    def raw_evaluate(self, y: Sequence[int]) -> int:
+    def raw_evaluate_many(self, ys: np.ndarray) -> np.ndarray:
+        """Scaled fitness of each row of ``ys``, a (rows, size) 0/1 array."""
         raise NotImplementedError
 
-    def raw_evaluate_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.raw_evaluate(tuple(row)) for row in ys], dtype=np.int64)
-
     def evaluate(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.size:
-            raise ValueError(f"chromosome length {len(bits)} != problem size {self.size}")
-        if self.permutation is not None:
-            bits = tuple(bits[p] for p in self.permutation)
-        return self.raw_evaluate(bits)
+        """Scaled fitness of one chromosome: one row of ``evaluate_many``."""
+        return int(self.evaluate_many(np.array([bits], dtype=np.uint8))[0])
 
     def evaluate_many(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
@@ -109,9 +106,6 @@ class OneMax(FitnessProblem):
     def __init__(self, size: int, permutation=None, name: str | None = None):
         super().__init__(name or f"onemax-{size}", size, permutation)
 
-    def raw_evaluate(self, y):
-        return FITNESS_SCALE * sum(y)
-
     def raw_evaluate_many(self, ys):
         return FITNESS_SCALE * ys.sum(axis=1, dtype=np.int64)
 
@@ -119,14 +113,6 @@ class OneMax(FitnessProblem):
 class LeadingOnes(FitnessProblem):
     def __init__(self, size: int, permutation=None, name: str | None = None):
         super().__init__(name or f"leadingones-{size}", size, permutation)
-
-    def raw_evaluate(self, y):
-        count = 0
-        for b in y:
-            if b != 1:
-                break
-            count += 1
-        return FITNESS_SCALE * count
 
     def raw_evaluate_many(self, ys):
         return FITNESS_SCALE * np.cumprod(ys, axis=1, dtype=np.int64).sum(axis=1)
@@ -148,11 +134,6 @@ class CTrap(_BlockProblem):
     def __init__(self, m: int, permutation=None, name=None):
         super().__init__("ctrap", m, permutation, name)
 
-    def raw_evaluate(self, y):
-        return FITNESS_SCALE * sum(
-            trap4(*y[4 * i:4 * i + 4]) for i in range(self.m)
-        )
-
     def raw_evaluate_many(self, ys):
         u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
         return FITNESS_SCALE * _trap_many(u).sum(axis=1)
@@ -163,11 +144,6 @@ class CNiah(_BlockProblem):
 
     def __init__(self, m: int, permutation=None, name=None):
         super().__init__("cniah", m, permutation, name)
-
-    def raw_evaluate(self, y):
-        return FITNESS_SCALE * sum(
-            niah4(*y[4 * i:4 * i + 4]) for i in range(self.m)
-        )
 
     def raw_evaluate_many(self, ys):
         u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
@@ -186,13 +162,6 @@ class CycTrap(FitnessProblem):
             [[(3 * i + j) % self.size for j in range(4)] for i in range(m)]
         )
 
-    def raw_evaluate(self, y):
-        size = self.size
-        total = 0
-        for i in range(self.m):
-            total += trap4(*(y[(3 * i + j) % size] for j in range(4)))
-        return FITNESS_SCALE * total
-
     def raw_evaluate_many(self, ys):
         u = ys[:, self._block_cols].sum(axis=2, dtype=np.int64)
         return FITNESS_SCALE * _trap_many(u).sum(axis=1)
@@ -203,16 +172,6 @@ class LeadingTraps(_BlockProblem):
 
     def __init__(self, m: int, permutation=None, name=None):
         super().__init__("leadingtraps", m, permutation, name)
-
-    def raw_evaluate(self, y):
-        total = 0
-        alive = True
-        for i in range(self.m):
-            t = trap4(*y[4 * i:4 * i + 4])
-            if alive:
-                total += t
-            alive = alive and t == 4
-        return FITNESS_SCALE * total
 
     def raw_evaluate_many(self, ys):
         u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
@@ -248,13 +207,6 @@ class OneMaxPrimeConcat(FitnessProblem):
             name or "onemax-prime-" + "x".join(str(b) for b in sizes), pos, permutation
         )
 
-    def raw_evaluate(self, y):
-        total = 0
-        for start, b in zip(self._starts, self.block_sizes):
-            s = sum(y[start:start + b])
-            total += 3 if s == 0 else FITNESS_SCALE * s
-        return total
-
     def raw_evaluate_many(self, ys):
         total = np.zeros(len(ys), dtype=np.int64)
         for start, b in zip(self._starts, self.block_sizes):
@@ -273,17 +225,15 @@ class LookupTable(FitnessProblem):
     def __init__(self, values: Sequence[float], permutation=None, name: str | None = None):
         n = len(values)
         size = n.bit_length() - 1
-        if n == 0 or 2 ** size != n:
+        scaled = np.asarray(values, dtype=float) * FITNESS_SCALE
+        if n == 0 or 2 ** size != n or scaled.ndim != 1:
             raise ProblemSpecError(f"lookup table must list exactly 2^size values, got {n}")
-        scaled = []
-        for x in values:
-            s = float(x) * FITNESS_SCALE
-            if s != round(s):
-                raise ProblemSpecError(
-                    f"fitness value {x} is not an integer multiple of 1/{FITNESS_SCALE}"
-                )
-            scaled.append(int(round(s)))
-        self.values = np.array(scaled, dtype=np.int64)
+        bad = np.flatnonzero(~np.isfinite(scaled) | (np.round(scaled) != scaled))
+        if len(bad):
+            raise ProblemSpecError(
+                f"fitness value {values[bad[0]]} is not an integer multiple of 1/{FITNESS_SCALE}"
+            )
+        self.values = scaled.astype(np.int64)
         super().__init__(name or f"lookup-{size}", size, permutation)
 
     @classmethod
@@ -313,16 +263,11 @@ class LookupTable(FitnessProblem):
             raise ProblemSpecError(
                 f"problem size {problem.size} too large to tabulate"
             )
-        out = cls.__new__(cls)
-        FitnessProblem.__init__(
-            out, kwargs.get("name") or f"{problem.name}-table", problem.size,
+        return cls(
+            table / FITNESS_SCALE,
             kwargs.get("permutation"),
+            kwargs.get("name") or f"{problem.name}-table",
         )
-        out.values = table.copy()
-        return out
-
-    def raw_evaluate(self, y):
-        return int(self.values[pack_bits(y)])
 
     def raw_evaluate_many(self, ys):
         weights = 1 << np.arange(self.size - 1, -1, -1, dtype=np.int64)
@@ -358,68 +303,82 @@ def fork_problem() -> LookupTable:
     )
 
 
+def _size(kind: str, spec: Mapping) -> int:
+    if "l" in spec:
+        return int(spec["l"])
+    if "size" in spec:
+        return int(spec["size"])
+    raise ProblemSpecError(f"{kind} spec needs 'l' (problem size)")
+
+
+def _block_count(kind: str, spec: Mapping, block: int) -> int:
+    if "m" in spec:
+        return int(spec["m"])
+    if "l" in spec or "size" in spec:
+        size = _size(kind, spec)
+        if size % block != 0:
+            raise ProblemSpecError(
+                f"{kind} requires size to be a multiple of {block}, got {size}"
+            )
+        return size // block
+    raise ProblemSpecError(f"{kind} spec needs 'm' or a compatible 'l'")
+
+
+def _sized(cls):
+    return lambda kind, spec: cls(_size(kind, spec), spec.get("permutation"), spec.get("name"))
+
+
+def _blocks_of(cls, block: int):
+    return lambda kind, spec: cls(
+        _block_count(kind, spec, block), spec.get("permutation"), spec.get("name")
+    )
+
+
+def _onemax_prime_blocks(kind: str, spec: Mapping) -> OneMaxPrimeConcat:
+    if "block_sizes" not in spec:
+        raise ProblemSpecError("onemax-prime-blocks spec needs 'block_sizes'")
+    return OneMaxPrimeConcat(spec["block_sizes"], spec.get("permutation"), spec.get("name"))
+
+
+def _lookup_table(kind: str, spec: Mapping) -> LookupTable:
+    perm, name = spec.get("permutation"), spec.get("name")
+    if "table" in spec:
+        return LookupTable(spec["table"], perm, name)
+    if "pairs" in spec:
+        return LookupTable.from_pairs(
+            _size(kind, spec), spec["pairs"], spec.get("default", 0),
+            permutation=perm, name=name,
+        )
+    raise ProblemSpecError("lookup-table spec needs 'table' or 'pairs'")
+
+
+#: Problem kind -> builder from (kind, spec), in ``list-problems`` order.
+KINDS = {
+    "onemax": _sized(OneMax),
+    "leadingones": _sized(LeadingOnes),
+    "ctrap": _blocks_of(CTrap, 4),
+    "cyctrap": _blocks_of(CycTrap, 3),
+    "cniah": _blocks_of(CNiah, 4),
+    "leadingtraps": _blocks_of(LeadingTraps, 4),
+    "onemax-prime-blocks": _onemax_prime_blocks,
+    "lookup-table": _lookup_table,
+}
+
+
 def make_problem(spec: Mapping) -> FitnessProblem:
     """Build a problem from a spec mapping (the problem-spec file schema).
 
-    Fields: ``kind`` plus ``l``/``size`` or ``m`` (or ``block_sizes`` for
+    Fields: ``kind`` (a key of ``KINDS``; case and ``_``/``-`` are free)
+    plus ``l``/``size`` or ``m`` (or ``block_sizes`` for
     onemax-prime-blocks, ``table``/``pairs`` for lookup-table), and an
     optional explicit ``permutation`` sequence.
     """
     if "kind" not in spec:
         raise ProblemSpecError("spec is missing the 'kind' field")
     kind = str(spec["kind"]).lower().replace("_", "-")
-    perm = spec.get("permutation")
-    name = spec.get("name")
-
-    def want_size() -> int:
-        if "l" in spec:
-            return int(spec["l"])
-        if "size" in spec:
-            return int(spec["size"])
-        raise ProblemSpecError(f"{kind} spec needs 'l' (problem size)")
-
-    def want_m(block: int) -> int:
-        if "m" in spec:
-            return int(spec["m"])
-        if "l" in spec or "size" in spec:
-            size = want_size()
-            if size % block != 0:
-                raise ProblemSpecError(
-                    f"{kind} requires size to be a multiple of {block}, got {size}"
-                )
-            return size // block
-        raise ProblemSpecError(f"{kind} spec needs 'm' or a compatible 'l'")
-
-    if kind == "onemax":
-        return OneMax(want_size(), perm, name)
-    if kind == "leadingones":
-        return LeadingOnes(want_size(), perm, name)
-    if kind == "ctrap":
-        return CTrap(want_m(4), perm, name)
-    if kind == "cniah":
-        return CNiah(want_m(4), perm, name)
-    if kind == "leadingtraps":
-        return LeadingTraps(want_m(4), perm, name)
-    if kind == "cyctrap":
-        return CycTrap(want_m(3), perm, name)
-    if kind == "onemax-prime-blocks":
-        if "block_sizes" not in spec:
-            raise ProblemSpecError("onemax-prime-blocks spec needs 'block_sizes'")
-        return OneMaxPrimeConcat(spec["block_sizes"], perm, name)
-    if kind == "lookup-table":
-        if "table" in spec:
-            return LookupTable(spec["table"], perm, name)
-        if "pairs" in spec:
-            size = want_size()
-            return LookupTable.from_pairs(
-                size, spec["pairs"], spec.get("default", 0), permutation=perm, name=name
-            )
-        raise ProblemSpecError("lookup-table spec needs 'table' or 'pairs'")
-    raise ProblemSpecError(f"unknown problem kind {kind!r}")
-
-
-def onemax_prime_concat(block_sizes: Sequence[int]) -> OneMaxPrimeConcat:
-    return OneMaxPrimeConcat(block_sizes)
+    if kind not in KINDS:
+        raise ProblemSpecError(f"unknown problem kind {kind!r}")
+    return KINDS[kind](kind, spec)
 
 
 def weak_observability_problem() -> OneMaxPrimeConcat:

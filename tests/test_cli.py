@@ -23,8 +23,10 @@ class TestListProblems:
     def test_lists_kinds(self, capsys):
         code, out, _ = run(capsys, "list-problems")
         assert code == EXIT_OK
-        kinds = out.strip().splitlines()
-        assert "ctrap" in kinds and "lookup-table" in kinds
+        assert out.splitlines() == [
+            "onemax", "leadingones", "ctrap", "cyctrap", "cniah",
+            "leadingtraps", "onemax-prime-blocks", "lookup-table",
+        ]
 
 
 class TestEg:

@@ -1,9 +1,15 @@
 """Partial enumeration, the stationary-superiority test, and the
 iterative solver."""
 
+import itertools
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epilink import model
 from epilink.decomposition import (
     DecompositionTrace,
     TraceStep,
@@ -15,20 +21,72 @@ from epilink.decomposition import (
 )
 from epilink.graph import build_eg, cyctrap_reference_partition, topological_partition
 from epilink.model import Assignment, EnumerationCapError, global_optimum
-from epilink.problems import CNiah, CTrap, LeadingOnes, LookupTable, OneMax
+from epilink.problems import (
+    CNiah,
+    CTrap,
+    CycTrap,
+    LeadingOnes,
+    LeadingTraps,
+    LookupTable,
+    OneMax,
+    OneMaxPrimeConcat,
+)
 
 
 class CountingProblem:
-    """Wrapper that audits the exact number of scalar fitness calls."""
+    """Wrapper that audits the exact number of fitness rows evaluated."""
 
     def __init__(self, inner):
         self.inner = inner
         self.size = inner.size
         self.calls = 0
 
-    def evaluate(self, bits):
-        self.calls += 1
-        return self.inner.evaluate(bits)
+    def evaluate_many(self, arr):
+        self.calls += len(arr)
+        return self.inner.evaluate_many(arr)
+
+
+def sequential_pe(problem, partition, seed):
+    """Reference partial enumeration: one scalar evaluation per candidate,
+    each block's patterns in lexicographic order, strict improvements kept."""
+    blocks = [sorted(set(b)) for b in partition]
+    rng = np.random.default_rng(seed)
+    y = tuple(int(x) for x in rng.integers(0, 2, size=problem.size))
+    best = problem.evaluate(y)
+    evaluations = 1
+    for b in blocks:
+        for pattern in itertools.product((0, 1), repeat=len(b)):
+            candidate = Assignment(zip(b, pattern)).apply(y)
+            fit = problem.evaluate(candidate)
+            evaluations += 1
+            if fit > best:
+                y, best = candidate, fit
+    return y, best, evaluations
+
+
+@st.composite
+def problem_and_partition(draw):
+    """A benchmark or a random half-integer lookup table (few levels make
+    ties common), and a random ordered partition of its loci."""
+    choice = draw(st.sampled_from(["lookup", "onemax", "leadingones", "ctrap",
+                                   "cyctrap", "leadingtraps", "onemax-prime"]))
+    if choice == "lookup":
+        size = draw(st.integers(1, 8))
+        levels = draw(st.sampled_from([1, 2, 3, 2 ** size]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        problem = LookupTable((rng.integers(0, levels, size=2 ** size) / 2).tolist())
+    else:
+        problem = {
+            "onemax": OneMax(7),
+            "leadingones": LeadingOnes(6),
+            "ctrap": CTrap(2),
+            "cyctrap": CycTrap(3),
+            "leadingtraps": LeadingTraps(2),
+            "onemax-prime": OneMaxPrimeConcat([3, 4]),
+        }[choice]
+    order = draw(st.permutations(range(problem.size)))
+    bounds = sorted({0, problem.size} | draw(st.sets(st.integers(0, problem.size))))
+    return problem, [order[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 class TestPartialEnumeration:
@@ -60,6 +118,16 @@ class TestPartialEnumeration:
         counting = CountingProblem(ctrap8)
         result = partial_enumeration(counting, [range(4), range(4, 8)], seed=0)
         assert counting.calls == result.evaluations == 33
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem_and_partition(), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_matches_sequential_reference(self, case, seed, chunked):
+        problem, partition = case
+        with patch.object(model, "_STREAM_BITS", 2 if chunked else model._STREAM_BITS):
+            result = partial_enumeration(problem, partition, seed)
+        assert (result.chromosome, result.fitness, result.evaluations) == sequential_pe(
+            problem, partition, seed
+        )
 
     def test_invalid_partition_rejected(self, onemax4):
         with pytest.raises(ValueError):

@@ -137,8 +137,8 @@ class TestBlanket:
         assert "weak epistasis found" in report.claims[0].detail
 
     def test_skip_weak_audit(self, cyctrap12):
-        # premise audit bypassed: the raw blanket claim itself still holds
-        report = verify_blanket(cyctrap12, {1}, skip_weak_audit=True)
+        # an empty audit passed in: the raw blanket claim itself still holds
+        report = verify_blanket(cyctrap12, {1}, weak=[])
         assert report.applicable
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink.model import bits_from_str, global_optimum, unpack_bits
+from epilink.model import bits_from_str, bit_rows, global_optimum, pack_bits, unpack_bits
 from epilink.problems import (
     FITNESS_SCALE,
     CNiah,
@@ -19,7 +19,6 @@ from epilink.problems import (
     ProblemSpecError,
     make_problem,
     niah4,
-    onemax_prime_concat,
     trap4,
     unscale,
     weak_observability_problem,
@@ -28,6 +27,86 @@ from epilink.problems import (
 
 def natural(problem, bits):
     return unscale(problem.evaluate(bits))
+
+
+# Scalar reference formulas, in natural units, over the permuted chromosome y.
+def onemax_ref(y):
+    return sum(y)
+
+
+def leadingones_ref(y):
+    count = 0
+    for b in y:
+        if b != 1:
+            break
+        count += 1
+    return count
+
+
+def blocks4(y):
+    return [y[i:i + 4] for i in range(0, len(y), 4)]
+
+
+def ctrap_ref(y):
+    return sum(trap4(*b) for b in blocks4(y))
+
+
+def cniah_ref(y):
+    return sum(niah4(*b) for b in blocks4(y))
+
+
+def cyctrap_ref(y):
+    size = len(y)
+    return sum(
+        trap4(*(y[(3 * i + j) % size] for j in range(4))) for i in range(size // 3)
+    )
+
+
+def leadingtraps_ref(y):
+    total = 0
+    for b in blocks4(y):
+        t = trap4(*b)
+        total += t
+        if t != 4:
+            break
+    return total
+
+
+def onemax_prime_ref(block_sizes):
+    def f(y):
+        total, start = 0, 0
+        for b in block_sizes:
+            s = sum(y[start:start + b])
+            total += 1.5 if s == 0 else s
+            start += b
+        return total
+    return f
+
+
+def lookup_ref(values):
+    return lambda y: values[pack_bits(y)]
+
+
+LOOKUP_VALUES = [((7 * i) % 11) / 2 for i in range(2 ** 6)]
+
+#: kind -> (builder from a permutation, scalar formula of y), small sizes.
+FORMULAS = {
+    "onemax": (lambda perm: OneMax(6, perm), onemax_ref),
+    "leadingones": (lambda perm: LeadingOnes(7, perm), leadingones_ref),
+    "ctrap": (lambda perm: CTrap(2, perm), ctrap_ref),
+    "cniah": (lambda perm: CNiah(2, perm), cniah_ref),
+    "cyctrap-m2": (lambda perm: CycTrap(2, perm), cyctrap_ref),
+    "cyctrap-m4": (lambda perm: CycTrap(4, perm), cyctrap_ref),
+    "leadingtraps": (lambda perm: LeadingTraps(3, perm), leadingtraps_ref),
+    "onemax-prime": (
+        lambda perm: OneMaxPrimeConcat([3, 2, 4], perm), onemax_prime_ref([3, 2, 4])
+    ),
+    "lookup-table": (lambda perm: LookupTable(LOOKUP_VALUES, perm), lookup_ref(LOOKUP_VALUES)),
+}
+
+
+def every_row(size):
+    return bit_rows(np.arange(2 ** size), size)
 
 
 class TestSubfunctions:
@@ -100,7 +179,7 @@ class TestBenchmarks:
         assert natural(p, (1, 1, 1)) == 3
 
     def test_onemax_prime_concat_blocks(self):
-        p = onemax_prime_concat([2, 2])
+        p = OneMaxPrimeConcat([2, 2])
         assert natural(p, (1, 1, 1, 1)) == 4
         assert natural(p, (0, 0, 1, 0)) == 2.5
 
@@ -109,21 +188,14 @@ class TestBenchmarks:
         assert p.size == 25
         assert p.block_sizes == (3, 4, 5, 6, 7)
 
-    def test_evaluate_many_matches_scalar(self):
-        problems = [
-            OneMax(6),
-            LeadingOnes(6),
-            CTrap(2),
-            CNiah(2),
-            CycTrap(2),
-            LeadingTraps(2),
-            OneMaxPrimeConcat([3, 3]),
-        ]
-        rng = np.random.default_rng(0)
-        for p in problems:
-            arr = rng.integers(0, 2, size=(64, p.size), dtype=np.uint8)
-            batch = p.evaluate_many(arr)
-            assert [p.evaluate(tuple(int(b) for b in row)) for row in arr] == list(batch)
+    @pytest.mark.parametrize("kind", FORMULAS)
+    def test_evaluate_many_matches_formula(self, kind):
+        build, formula = FORMULAS[kind]
+        problem = build(None)
+        rows = every_row(problem.size)
+        batch = problem.evaluate_many(rows)
+        assert batch.dtype == np.int64
+        assert [unscale(f) for f in batch] == [formula(tuple(row)) for row in rows.tolist()]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -164,13 +236,15 @@ class TestPermutation:
         y = tuple(c[p] for p in perm)
         assert rev.evaluate(c) == base.evaluate(y)
 
-    def test_permuted_batch_matches_scalar(self):
-        perm = (2, 0, 3, 1, 5, 7, 4, 6)
-        p = CTrap(2, permutation=perm)
-        rng = np.random.default_rng(1)
-        arr = rng.integers(0, 2, size=(32, 8), dtype=np.uint8)
-        assert list(p.evaluate_many(arr)) == [
-            p.evaluate(tuple(int(b) for b in row)) for row in arr
+    @pytest.mark.parametrize("kind", FORMULAS)
+    def test_permuted_evaluate_many_matches_formula(self, kind):
+        build, formula = FORMULAS[kind]
+        size = build(None).size
+        perm = tuple(np.random.default_rng(size).permutation(size).tolist())
+        rows = every_row(size)
+        batch = build(perm).evaluate_many(rows)
+        assert [unscale(f) for f in batch] == [
+            formula(tuple(x[p] for p in perm)) for x in rows.tolist()
         ]
 
     def test_bad_permutation(self):
@@ -191,6 +265,11 @@ class TestLookupTable:
     def test_quarter_integers_rejected(self):
         with pytest.raises(ProblemSpecError):
             LookupTable([0.25, 0])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ProblemSpecError):
+            LookupTable([bad, 0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ProblemSpecError):
