@@ -34,6 +34,20 @@ EXIT_THEOREM = 4
 EXIT_ASSUMPTION = 5
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma list of integers from the command line."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ProblemSpecError(str(exc)) from exc
+
+
+def _at_least(value: int, minimum: int, what: str) -> int:
+    if value < minimum:
+        raise ProblemSpecError(f"{what} must be >= {minimum}")
+    return value
+
+
 def _load_problem(args):
     if args.spec:
         with open(args.spec) as fh:
@@ -47,7 +61,7 @@ def _load_problem(args):
         if args.m is not None:
             spec["m"] = args.m
         if args.block_sizes:
-            spec["block_sizes"] = [int(x) for x in args.block_sizes.split(",")]
+            spec["block_sizes"] = _int_list(args.block_sizes)
     return make_problem(spec)
 
 
@@ -123,6 +137,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_ipe(args) -> int:
     problem = _load_problem(args)
+    _at_least(args.n, 1, "population size")
     result = decomposition.ipe(problem, args.n, args.seed, args.subset_order)
     payload = {
         "problem": problem.name,
@@ -197,11 +212,12 @@ def cmd_pac_sweep(args) -> int:
     problem = _load_problem(args)
     if args.delta <= 0 or args.delta >= 1:
         raise ProblemSpecError("delta must lie in (0, 1)")
+    _at_least(args.runs, 1, "runs")
     G = graph.build_eg(problem, args.cap)
     k = graph.decomposition_difficulty(G)
     threshold, threshold_text = _pac_threshold(k, problem.size, args.delta)
     if args.n_values:
-        n_values = [int(x) for x in args.n_values.split(",")]
+        n_values = [_at_least(n, 1, "population size") for n in _int_list(args.n_values)]
     elif threshold is not None:
         n_values = [threshold]
     else:
@@ -227,13 +243,14 @@ def cmd_pac_sweep(args) -> int:
 
 def cmd_weak_observability(args) -> int:
     problem = weak_observability_problem()
+    _at_least(args.runs, 1, "runs")
     all_targets = gasim.block_targets(problem.block_sizes)
     if args.blocks:
-        wanted = {int(x) for x in args.blocks.split(",")}
+        wanted = set(_int_list(args.blocks))
         targets = [t for t in all_targets if t.order in wanted]
     else:
         targets = all_targets
-    sizes = [int(x) for x in args.population_sizes.split(",")]
+    sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]
     points = gasim.initial_observability(problem, targets, sizes, args.runs, args.seed)
     config = gasim.GaConfig(
         population_size=args.population,
@@ -333,8 +350,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _at_least(getattr(args, "seed", 0), 0, "seed")  # numpy seeds are non-negative
         return args.func(args)
-    except (ProblemSpecError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (ProblemSpecError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationCapError as exc:

@@ -10,15 +10,18 @@ non-strict; higher orders into strong / weak / neither.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .model import (
     DEFAULT_CAP,
+    EMPTY,
     Assignment,
-    all_assignments,
     global_optimum,
+    optima_grid,
     psi_at,
 )
 
@@ -35,6 +38,16 @@ class EpistasisStrength(enum.Enum):
     NEITHER = "neither"
 
 
+def order1_kind(psi: frozenset[int], optimal: int) -> EpistasisKind:
+    """The order-1 kind from u to v, given ``psi``, the alleles optimal at v
+    with u set wrong, and ``optimal``, v's globally optimal allele."""
+    if psi == frozenset((optimal,)):
+        return EpistasisKind.NONE
+    if psi == frozenset((1 - optimal,)):
+        return EpistasisKind.STRICT
+    return EpistasisKind.NONSTRICT
+
+
 def order1(problem, u: int, v: int, cap: int = DEFAULT_CAP) -> EpistasisKind:
     """Classify the order-1 relation from u to v.
 
@@ -44,42 +57,51 @@ def order1(problem, u: int, v: int, cap: int = DEFAULT_CAP) -> EpistasisKind:
     if u == v:
         raise ValueError("order-1 epistasis needs two distinct loci")
     g = global_optimum(problem, cap)
-    psi = psi_at(problem, Assignment(((u, 1 - g[u]),)), v, cap)
-    if psi == frozenset((g[v],)):
-        return EpistasisKind.NONE
-    if psi == frozenset((1 - g[v],)):
-        return EpistasisKind.STRICT
-    return EpistasisKind.NONSTRICT
+    return order1_kind(psi_at(problem, Assignment(((u, 1 - g[u]),)), v, cap), g[v])
 
 
-def _witness(problem, S: frozenset[int], v: int, s: int, cap: int) -> Assignment | None:
-    """First assignment on S (lexicographic) whose optima at v change when s is dropped."""
-    for a in all_assignments(sorted(S)):
-        if psi_at(problem, a, v, cap) != psi_at(problem, a.without(s), v, cap):
-            return a
-    return None
+def _first_witnesses(S: tuple[int, ...], grid) -> np.ndarray:
+    """Entry [i, v]: the first row (assignment on S) of ``grid(S)`` whose
+    optima at v change when S[i] is dropped, or -1 if none (always for v in S).
+    ``grid(T)`` is the optima grid over the loci T."""
+    k = len(S)
+    targets = grid(S).free
+    codes = grid(S).alleles(targets).reshape((2,) * k + (-1,))
+    out = np.full((k, k + len(targets)), -1)
+    for i in range(k):
+        # the grid without S[i], broadcast along S[i]'s axis
+        sub = grid(S[:i] + S[i + 1:]).alleles(targets).reshape((2,) * (k - 1) + (-1,))
+        changed = (codes != np.expand_dims(sub, i)).reshape(2 ** k, -1)
+        out[i, list(targets)] = np.where(changed.any(axis=0), changed.argmax(axis=0), -1)
+    return out
 
 
 def epistatic(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether S is |S|-epistatic to v (every member has a witness assignment)."""
     S = frozenset(S)
-    if not S:
-        return False
     if v in S:
         raise ValueError("the target locus may not belong to S")
-    return all(_witness(problem, S, v, s, cap) is not None for s in sorted(S))
+    return bool(S) and witnesses(problem, S, v, cap) is not None
 
 
 def witnesses(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> dict[int, Assignment] | None:
     """Per-member witness assignments, or None if S is not epistatic to v."""
-    S = frozenset(S)
-    out = {}
-    for s in sorted(S):
-        w = _witness(problem, S, v, s, cap)
-        if w is None:
-            return None
-        out[s] = w
-    return out
+    S = tuple(sorted(frozenset(S)))
+    grid = functools.cache(lambda T: optima_grid(problem, EMPTY, T, cap))
+    rows = _first_witnesses(S, grid)[:, v]
+    if (rows < 0).any():
+        return None
+    return {s: grid(S).pattern(r) for s, r in zip(S, rows)}
+
+
+def epistatic_targets(problem, max_order: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[tuple, set[int]]]:
+    """Yield (S, every v that S is epistatic to) for each S of 1 to
+    ``max_order`` loci, smaller sets first, lexicographic within a size."""
+    grid = functools.cache(lambda T: optima_grid(problem, EMPTY, T, cap))  # one per call
+    for order in range(1, max_order + 1):
+        for S in itertools.combinations(range(problem.size), order):
+            witnessed = (_first_witnesses(S, grid) >= 0).all(axis=0)
+            yield S, {int(v) for v in np.flatnonzero(witnessed)}
 
 
 def strength(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> EpistasisStrength:
@@ -87,9 +109,7 @@ def strength(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> Epist
     S = frozenset(S)
     if not epistatic(problem, S, v, cap):
         raise ValueError(f"{sorted(S)} is not epistatic to {v}")
-    if len(S) == 1:
-        return EpistasisStrength.STRONG
-    sub = [
+    sub = [  # empty for order 1, which is always strong
         epistatic(problem, T, v, cap)
         for size in range(1, len(S))
         for T in itertools.combinations(sorted(S), size)
@@ -113,20 +133,17 @@ def find_weak_epistases(
     it to vet the no-weak-epistasis premise of the decomposition
     theorems.  ``first_only`` stops at the first find.
     """
-    loci = range(problem.size)
+    targets: dict[tuple[int, ...], set[int]] = {}
     found: list[tuple[frozenset[int], int]] = []
-    for order in range(2, max_order + 1):
-        for S in itertools.combinations(loci, order):
-            fs = frozenset(S)
-            for v in loci:
-                if v in fs:
-                    continue
-                if not epistatic(problem, fs, v, cap):
-                    continue
-                if strength(problem, fs, v, cap) is EpistasisStrength.WEAK:
-                    found.append((fs, v))
-                    if first_only:
-                        return found
+    for S, hit in epistatic_targets(problem, max_order, cap):
+        targets[S] = hit
+        if len(S) < 2:
+            continue
+        proper = (targets[T] for size in range(1, len(S)) for T in itertools.combinations(S, size))
+        for v in sorted(hit.difference(*proper)):  # weak: no proper subset is epistatic to v
+            found.append((frozenset(S), v))
+            if first_only:
+                return found
     return found
 
 
@@ -144,12 +161,9 @@ def is_stationary_deception(
         raise ValueError(f"assignment must set locus {u} to its non-optimal allele")
     if v in a:
         raise ValueError(f"locus {v} must be unassigned")
-    rest = sorted(set(range(problem.size)) - a.coverage - {v})
-    wrong = 1 - g[v]
-    for r in all_assignments(rest):
-        if wrong not in psi_at(problem, a | r, v, cap):
-            return False
-    return True
+    rest = set(range(problem.size)) - a.coverage - {v}
+    codes = optima_grid(problem, a, rest, cap).alleles([v])
+    return bool(((codes >> (1 - g[v])) & 1).all())
 
 
 def minimum_stationary_deception(
@@ -174,41 +188,3 @@ def minimum_stationary_deception(
                 if is_stationary_deception(problem, u, v, a, cap):
                     return a
     raise RuntimeError("unreachable: a nearly full deceiving assignment always exists")
-
-
-@dataclass(frozen=True)
-class EpistasisRecord:
-    """Serializable classification of one epistatic relation."""
-
-    loci: tuple[int, ...]
-    target: int
-    kind: str
-    strength: str
-    witness: dict[int, Assignment]
-
-    def to_json(self) -> dict:
-        return {
-            "S": list(self.loci),
-            "v": self.target,
-            "kind": self.kind,
-            "strength": self.strength,
-            "witness_assignment": {
-                str(s): a.to_json() for s, a in self.witness.items()
-            },
-        }
-
-
-def classify(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> EpistasisRecord | None:
-    """Full record for S => v, or None when the relation does not hold."""
-    S = frozenset(S)
-    wit = witnesses(problem, S, v, cap)
-    if wit is None:
-        return None
-    if len(S) == 1:
-        (u,) = S
-        kind = order1(problem, u, v, cap).value
-    else:
-        kind = f"order-{len(S)}"
-    return EpistasisRecord(
-        tuple(sorted(S)), v, kind, strength(problem, S, v, cap).value, wit
-    )

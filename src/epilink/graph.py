@@ -6,7 +6,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import DEFAULT_CAP
+from .model import DEFAULT_CAP, Assignment, constrained_optima, global_optimum
+from .problems import ProblemSpecError
 from . import epistasis
 from .epistasis import EpistasisKind
 
@@ -49,12 +50,16 @@ class EpistaticGraph:
 
 
 def build_eg(problem, cap: int = DEFAULT_CAP) -> EpistaticGraph:
-    """Classify every ordered locus pair to obtain the epistatic graph."""
+    """Classify every ordered locus pair to obtain the epistatic graph: one
+    constrained-optima scan per locus u set wrong classifies every v."""
+    g = global_optimum(problem, cap)
     edges = set()
-    for u, v in itertools.permutations(range(problem.size), 2):
-        kind = epistasis.order1(problem, u, v, cap)
-        if kind is not EpistasisKind.NONE:
-            edges.add((u, v, kind.value))
+    for u in range(problem.size):
+        per_locus = constrained_optima(problem, Assignment(((u, 1 - g[u]),)), cap).per_locus
+        for v in range(problem.size):
+            kind = epistasis.order1_kind(per_locus[v], g[v])
+            if v != u and kind is not EpistasisKind.NONE:
+                edges.add((u, v, kind.value))
     return EpistaticGraph(problem.size, frozenset(edges))
 
 
@@ -201,23 +206,8 @@ def max_epistasis_order(problem, bound: int, cap: int = DEFAULT_CAP) -> int:
     Returns ``bound`` when saturated (an epistasis of exactly the bound
     order exists), so callers should treat that value as ">= bound".
     """
-    best = 0
-    loci = range(problem.size)
-    for order in range(1, bound + 1):
-        hit = False
-        for S in itertools.combinations(loci, order):
-            fs = frozenset(S)
-            for v in loci:
-                if v in fs:
-                    continue
-                if epistasis.epistatic(problem, fs, v, cap):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            best = order
-    return best
+    found = epistasis.epistatic_targets(problem, bound, cap)
+    return max((len(S) for S, targets in found if targets), default=0)
 
 
 def cyctrap_reference_partition(size: int) -> tuple[frozenset[int], ...]:
@@ -228,7 +218,7 @@ def cyctrap_reference_partition(size: int) -> tuple[frozenset[int], ...]:
     this fixture is brute-force verified in the tests before use.
     """
     if size % 3 != 0 or size < 12:
-        raise ValueError(f"cyclic trap size must be 3m >= 12, got {size}")
+        raise ProblemSpecError(f"cyclic trap size must be 3m >= 12, got {size}")
     blocks = [frozenset(range(10))]
     pos = 10
     while pos < size:

@@ -10,7 +10,6 @@ exact integer comparisons.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -146,9 +145,6 @@ class Assignment:
                 raise ValueError(f"locus {v} out of range for length {size}")
         return tuple(self._d.get(v, bits[v]) for v in range(size))
 
-    def agrees_with(self, bits: Sequence[int]) -> bool:
-        return all(bits[v] == a for v, a in self._d.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Assignment) and self._d == other._d
 
@@ -161,10 +157,6 @@ class Assignment:
 
     def to_json(self) -> dict[str, int]:
         return {str(v): a for v, a in self._d.items()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, int]) -> "Assignment":
-        return cls((int(v), a) for v, a in obj.items())
 
 
 EMPTY = Assignment()
@@ -220,45 +212,84 @@ def completion_fitness(problem, a: Assignment) -> np.ndarray:
     return out
 
 
-def constrained_optima(problem, a: Assignment, cap: int = DEFAULT_CAP) -> ConstrainedOptima:
-    """Exhaustively enumerate all completions of ``a`` and keep the maximizers."""
+@dataclass(frozen=True)
+class OptimaGrid:
+    """Constrained optima of ``a | p`` for every pattern ``p`` on ``loci``.
+
+    Row r is the pattern spelling r on the sorted ``loci`` (lexicographic
+    order).  Per row: the maximal ``fitness``, the ``count`` of maximizers,
+    and the OR (``ones``) and AND (``all_ones``) of their indices, whose low
+    bits spell the ``free`` loci, the lowest locus most significant.
+    """
+
+    loci: tuple[int, ...]
+    free: tuple[int, ...]
+    fitness: np.ndarray
+    count: np.ndarray
+    ones: np.ndarray
+    all_ones: np.ndarray
+
+    def pattern(self, row: int) -> Assignment:
+        return Assignment(zip(self.loci, unpack_bits(int(row), len(self.loci))))
+
+    def alleles(self, loci: Sequence[int]) -> np.ndarray:
+        """Per row and given free locus, the alleles its maximizers take: bit 0
+        (allele 0) iff the AND bit is clear, bit 1 (allele 1) iff the OR bit is set."""
+        shifts = len(self.free) - 1 - np.searchsorted(self.free, loci)
+        one = (self.ones[:, None] >> shifts) & 1
+        zero = 1 - ((self.all_ones[:, None] >> shifts) & 1)
+        return zero | (one << 1)
+
+
+def optima_grid(problem, a: Assignment, loci: Iterable[int], cap: int = DEFAULT_CAP) -> OptimaGrid:
+    """Constrained optima of ``a | p`` for every pattern ``p`` on ``loci``,
+    from one scan of the 2^(size - |a|) completions of ``a``."""
+    return _scan(problem, a, loci, cap)[0]
+
+
+def _scan(problem, a: Assignment, loci: Iterable[int], cap: int) -> tuple[OptimaGrid, np.ndarray]:
+    """The optima grid and each maximizer's flat index (row bits above column bits)."""
     size = problem.size
-    for v in a:
+    loci = tuple(sorted(set(loci)))
+    for v in (*a, *loci):
         if v >= size:
             raise ValueError(f"locus {v} out of range for problem size {size}")
+    if any(v in a for v in loci):
+        raise ValueError("grid loci must be unassigned")
     nfree = size - len(a)
     if nfree > 0 and 2 ** nfree > cap:
         raise EnumerationCapError(2 ** nfree, cap)
-    cache = problem._psi_cache
-    hit = cache.get(a)
-    if hit is not None:
-        return hit
-
     table = problem.fitness_table()
     if table is None:
-        values = completion_fitness(problem, a)
+        values = completion_fitness(problem, a).reshape((2,) * nfree)
     else:  # a view of the table as a 2x...x2 tensor, assigned axes fixed
         index = [slice(None)] * size
         for v, allele in a.items():
             index[v] = allele
         values = table.reshape((2,) * size)[tuple(index)]
-    best = values.max()
-    hits = np.flatnonzero(values == best)
-    # A hit's bits, most significant first, are the alleles of the free
-    # loci.  Allele 1 occurs iff its OR bit is set, allele 0 iff its AND bit
-    # is clear, so a locus takes the alleles range(AND bit, OR bit + 1).
-    ones = int(np.bitwise_or.reduce(hits))
-    all_ones = int(np.bitwise_and.reduce(hits))
-    free = tuple(v for v in range(size) if v not in a)
+    unassigned = [v for v in range(size) if v not in a]
+    free = tuple(v for v in unassigned if v not in loci)
+    # rows: patterns on loci; columns: completions of the free loci
+    values = np.asarray(values).transpose([unassigned.index(v) for v in loci + free])
+    values = values.reshape(2 ** len(loci), 2 ** len(free))
+    best = values.max(axis=1)
+    hit = values == best[:, None]
+    count = np.count_nonzero(hit, axis=1)
+    hits = np.flatnonzero(hit)
+    starts = np.cumsum(count) - count
+    ones, all_ones = np.bitwise_or.reduceat(hits, starts), np.bitwise_and.reduceat(hits, starts)
+    return OptimaGrid(loci, free, best, count, ones, all_ones), hits
+
+
+def constrained_optima(problem, a: Assignment, cap: int = DEFAULT_CAP) -> ConstrainedOptima:
+    """Exhaustively enumerate all completions of ``a`` and keep the maximizers
+    (the one row of the grid over no loci)."""
+    grid, hits = _scan(problem, a, (), cap)
     per_locus = {v: frozenset((allele,)) for v, allele in a.items()}
-    for j, v in enumerate(free):
-        shift = nfree - 1 - j
-        per_locus[v] = frozenset(range((all_ones >> shift) & 1, ((ones >> shift) & 1) + 1))
-    result = ConstrainedOptima(
-        int(best), len(hits), per_locus, a.apply((0,) * size), free, hits
-    )
-    cache[a] = result
-    return result
+    for v, code in zip(grid.free, grid.alleles(grid.free)[0].tolist()):
+        per_locus[v] = frozenset(allele for allele in (0, 1) if code >> allele & 1)
+    return ConstrainedOptima(int(grid.fitness[0]), int(grid.count[0]), per_locus,
+                             a.apply((0,) * problem.size), grid.free, hits)
 
 
 def psi_at(problem, a: Assignment, v: int, cap: int = DEFAULT_CAP) -> frozenset[int]:
@@ -286,10 +317,3 @@ def global_optimum(problem, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
             )
         problem._g = opt.chromosomes[0]
     return problem._g
-
-
-def all_assignments(loci: Sequence[int]):
-    """All 2^|loci| assignments on the given loci, lexicographic by allele pattern."""
-    loci = sorted(loci)
-    for pattern in itertools.product((0, 1), repeat=len(loci)):
-        yield Assignment(zip(loci, pattern))

@@ -50,9 +50,8 @@ class FitnessProblem:
     Each kind states its fitness once, as ``raw_evaluate_many`` over rows
     of permuted chromosomes ``y`` (``y[i] = x[permutation[i]]``); the
     identity permutation is the default.  The fitness never changes after
-    construction, but an instance is not immutable: it fills caches
-    lazily, with no locking — constrained optima (``_psi_cache``, one entry
-    per distinct assignment asked, never evicted), the global optimum
+    construction, but an instance is not immutable: it fills two
+    single-value caches lazily, with no locking — the global optimum
     (``_g``) and the dense fitness table (``_table``).  Each worker process
     fills its own copy.
     """
@@ -69,7 +68,6 @@ class FitnessProblem:
         self.name = name
         self.size = size
         self.permutation = permutation
-        self._psi_cache: dict = {}
         self._g = None
         self._table: np.ndarray | None = None
         self._table_built = False
@@ -373,12 +371,15 @@ def make_problem(spec: Mapping) -> FitnessProblem:
     onemax-prime-blocks, ``table``/``pairs`` for lookup-table), and an
     optional explicit ``permutation`` sequence.
     """
-    if "kind" not in spec:
-        raise ProblemSpecError("spec is missing the 'kind' field")
-    kind = str(spec["kind"]).lower().replace("_", "-")
-    if kind not in KINDS:
-        raise ProblemSpecError(f"unknown problem kind {kind!r}")
-    return KINDS[kind](kind, spec)
+    try:
+        if "kind" not in spec:
+            raise ProblemSpecError("spec is missing the 'kind' field")
+        kind = str(spec["kind"]).lower().replace("_", "-")
+        if kind not in KINDS:
+            raise ProblemSpecError(f"unknown problem kind {kind!r}")
+        return KINDS[kind](kind, spec)
+    except (TypeError, ValueError) as exc:  # a spec or spec field of the wrong type
+        raise ProblemSpecError(str(exc)) from exc
 
 
 def weak_observability_problem() -> OneMaxPrimeConcat:

@@ -1,7 +1,7 @@
 """Shared fixtures: small benchmark instances reused across the suite.
 
-Problems cache their constrained-optima results, so session scope keeps
-the brute-force oracles fast.
+Problems cache their fitness table and global optimum, so session scope
+builds each once.
 """
 
 import pytest

@@ -275,3 +275,55 @@ class TestSpecFilesAndExitCodes:
         code, _, err = run(capsys, "decompose", "--spec", str(spec))
         assert code == EXIT_ASSUMPTION
         assert "not unique" in err
+
+
+class TestUserErrorsExitTwo:
+    """Bad command-line or spec input exits 2; any other ValueError is a bug."""
+
+    @pytest.mark.parametrize("argv", [
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "4", "--runs", "0"],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "4,x", "--runs", "2"],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "0", "--runs", "2"],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "4", "--seed", "-1"],
+        ["weak-observability", "--runs", "0"],
+        ["weak-observability", "--runs", "2", "--population-sizes", "10,-1"],
+        ["weak-observability", "--runs", "2", "--blocks", "2,x"],
+        ["ipe", "--kind", "onemax", "--l", "4", "--n", "0"],
+        ["decompose", "--kind", "onemax", "--l", "4", "--seed", "-1"],
+        ["decompose", "--kind", "onemax", "--l", "4", "--fixture-partition"],
+        ["eg", "--kind", "onemax-prime-blocks", "--block-sizes", "3,x"],
+    ])
+    def test_bad_arguments(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ")
+
+    def test_runs_zero_message(self, capsys):
+        _, _, err = run(capsys, "weak-observability", "--runs", "0")
+        assert err == "error: runs must be >= 1\n"
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "onemax", "l": "abc"},
+        {"kind": "onemax-prime-blocks", "block_sizes": [3, "x"]},
+        {"kind": "lookup-table", "table": ["a", "b"]},
+        {"kind": "lookup-table", "l": 2, "pairs": {"0x": 1}},
+        {"kind": "ctrap", "m": None},
+        {"kind": "onemax", "l": 4, "permutation": 5},
+        5,
+    ])
+    def test_bad_spec_fields(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "eg", "--spec", str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+
+    def test_internal_value_error_is_not_a_parse_error(self, capsys, monkeypatch):
+        from epilink import graph
+
+        def broken(problem, cap):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(graph, "build_eg", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["eg", "--kind", "ctrap", "--m", "1"])

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from epilink.model import Assignment, all_assignments, global_optimum, psi_at
+from epilink.model import Assignment, global_optimum, psi_at
 from epilink import epistasis as ep
 from epilink.epistasis import EpistasisKind, EpistasisStrength
 from epilink.problems import CTrap, OneMaxPrimeConcat
@@ -192,7 +192,8 @@ class TestProp4AndProp7:
             others = [u for u in range(3) if u != v]
             for k in (1, 2):
                 for sub in itertools.combinations(others, k):
-                    for a in all_assignments(sub):
+                    for pattern in itertools.product((0, 1), repeat=len(sub)):
+                        a = Assignment(zip(sub, pattern))
                         if (1 - g[v]) not in psi_at(weak_pair, a, v):
                             continue
                         assert any(
@@ -201,21 +202,3 @@ class TestProp4AndProp7:
                             for S in itertools.combinations(sub, r)
                         )
 
-
-class TestClassify:
-    def test_record_round_trip(self, weak_pair):
-        rec = ep.classify(weak_pair, {0, 1}, 2)
-        assert rec.loci == (0, 1)
-        assert rec.target == 2
-        assert rec.strength == "weak"
-        payload = rec.to_json()
-        assert payload["S"] == [0, 1]
-        assert set(payload["witness_assignment"]) == {"0", "1"}
-
-    def test_order1_record_kind(self, ctrap8):
-        rec = ep.classify(ctrap8, {0}, 3)
-        assert rec.kind == "strict"
-        assert rec.strength == "strong"
-
-    def test_none_when_not_epistatic(self, onemax8):
-        assert ep.classify(onemax8, {0, 1}, 2) is None

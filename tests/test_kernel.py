@@ -1,9 +1,10 @@
 """The enumeration kernel against plain itertools brute force.
 
-``constrained_optima`` reads completions either as a view of the dense
-fitness table or, for problems too large to tabulate, streamed through
-``evaluate_many``.  Each property runs on both paths: the streaming path
-is reached by hiding the table, and its chunking by shrinking the chunk.
+``optima_grid`` (and ``constrained_optima``, its one-row case) reads
+completions either as a view of the dense fitness table or, for problems
+too large to tabulate, streamed through ``evaluate_many``.  Each property
+runs on both paths: the streaming path is reached by hiding the table, and
+its chunking by shrinking the chunk.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from epilink.model import (
     bit_rows,
     constrained_optima,
     global_optimum,
+    optima_grid,
     unpack_bits,
 )
 from epilink.oracles import is_stationary_optimum
@@ -104,6 +106,56 @@ class TestConstrainedOptimaDifferential:
         assert (opt.fitness, opt.count, opt.chromosomes) == (p.evaluate(c), 1, (c,))
 
 
+class TestOptimaGridDifferential:
+    """Each row of the grid against ``constrained_optima`` of its pattern."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=lookup_and_assignment(max_size=8), data=st.data())
+    def test_rows_match_per_pattern(self, path, case, data):
+        problem, a = case
+        unassigned = [v for v in range(problem.size) if v not in a]
+        loci = data.draw(st.lists(st.sampled_from(unassigned), unique=True) if unassigned
+                         else st.just([]))
+        with on_path(problem, path):
+            grid = optima_grid(problem, a, loci)
+        ordered = sorted(loci)
+        free = [v for v in unassigned if v not in loci]
+        assert (grid.loci, grid.free) == (tuple(ordered), tuple(free))
+        assert len(grid.fitness) == 2 ** len(loci)
+        codes = grid.alleles(free)
+        for row, pattern in enumerate(itertools.product((0, 1), repeat=len(loci))):
+            p = Assignment(zip(ordered, pattern))
+            assert grid.pattern(row) == p
+            opt = constrained_optima(problem, a | p)
+            assert (grid.fitness[row], grid.count[row]) == (opt.fitness, opt.count)
+            for j, v in enumerate(free):
+                assert {al for al in (0, 1) if codes[row, j] >> al & 1} == opt.per_locus[v]
+
+    def test_cap_counts_the_whole_scan(self):
+        p = CTrap(2)
+        with pytest.raises(EnumerationCapError) as exc:
+            optima_grid(p, EMPTY, [0, 1, 2], cap=2 ** 7)
+        assert exc.value.required == 2 ** 8
+        assert len(optima_grid(p, Assignment(((7, 1),)), [0, 1, 2], cap=2 ** 7).fitness) == 8
+
+    def test_bad_loci_rejected(self):
+        p = CTrap(2)
+        with pytest.raises(ValueError, match="out of range"):
+            optima_grid(p, EMPTY, [8])
+        with pytest.raises(ValueError, match="unassigned"):
+            optima_grid(p, Assignment(((0, 1),)), [0, 1])
+
+    def test_results_depend_only_on_inputs(self):
+        # no per-problem cache: a fresh and a warm problem answer alike
+        fresh, warm = CTrap(2), CTrap(2)
+        a = Assignment(((0, 0),))
+        for _ in range(2):
+            constrained_optima(warm, a)
+        assert constrained_optima(warm, a) == constrained_optima(fresh, a)
+        assert not hasattr(warm, "_psi_cache")
+
+
 class TestStreamingLayout:
     @settings(max_examples=40, deadline=None)
     @given(case=lookup_and_assignment(max_size=8))
@@ -179,6 +231,6 @@ class TestCapBeforeCache:
     def test_under_cap_still_cached(self):
         p = CTrap(2)
         first = constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7)
-        assert constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7) is first
+        assert constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7) == first
         with pytest.raises(EnumerationCapError):
             constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 6)
