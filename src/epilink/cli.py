@@ -244,6 +244,8 @@ def cmd_pac_sweep(args) -> int:
 def cmd_weak_observability(args) -> int:
     problem = weak_observability_problem()
     _at_least(args.runs, 1, "runs")
+    _at_least(args.population, 1, "population")
+    _at_least(args.generations, 0, "generations")
     all_targets = gasim.block_targets(problem.block_sizes)
     if args.blocks:
         wanted = set(_int_list(args.blocks))

@@ -70,34 +70,71 @@ def random_population(problem, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
 
 
+#: Fitness values compared per chunk of subsets (log 2) when scanning for
+#: a stationary-superior pattern.
+_CHUNK_BITS = 14
+
+
 def test_so(problem, S: Iterable[int], population: np.ndarray) -> tuple[bool, Assignment | None]:
     """Check whether one assignment on S strictly beats all alternatives in
-    every chromosome's context; costs n * 2^|S| evaluations.
+    every chromosome's context; costs n * 2^|S| counted evaluations.
 
     Any fitness tie within a chromosome, or a winner change between
-    chromosomes, fails the test.
+    chromosomes, fails the test.  This is the one-subset case of the scan
+    ``ipe`` runs over all subsets of a size.
     """
     S = sorted(set(S))
     if not S:
         raise ValueError("S must be nonempty")
-    n = len(population)
-    if n == 0:
+    population = np.asarray(population)
+    if len(population) == 0:
         raise ValueError("population must be nonempty")
-    npat = 2 ** len(S)
-    patterns = bit_rows(np.arange(npat), len(S))
-
-    variants = np.repeat(population, npat, axis=0)
-    variants[:, S] = np.tile(patterns, (n, 1))
-    fits = problem.evaluate_many(variants).reshape(n, npat)
-
-    best = fits.max(axis=1)
-    unique = (fits == best[:, None]).sum(axis=1) == 1
-    if not unique.all():
+    _, winner = _first_pass(problem, population, np.array([S]))
+    if winner is None:
         return False, None
-    winners = fits.argmax(axis=1)
-    if not (winners == winners[0]).all():
-        return False, None
-    return True, Assignment(zip(S, (int(b) for b in patterns[winners[0]])))
+    return True, Assignment(zip(S, unpack_bits(winner, len(S))))
+
+
+def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[int, int | None]:
+    """Test the subsets (rows of sorted loci, all of one size k) in order,
+    a chunk at a time, and stop at the first on which one pattern is the
+    unique maximum in every chromosome's context.
+
+    Returns how many subsets were tested and the index of the passing
+    subset's winning pattern (None if none passed).  A chunk's fitness is a
+    (2^k patterns, n chromosomes, subsets) tensor: one gather at the packed
+    variant indices when the problem has a fitness table, else one
+    ``evaluate_many`` call over the chunk's variant rows.
+    """
+    n, size = population.shape
+    k = subsets.shape[1]
+    patterns = bit_rows(np.arange(2 ** k), k)
+    table = problem.fitness_table()
+    if table is not None:  # chromosomes as packed indices, locus 0 most significant
+        place = 1 << np.arange(size - 1, -1, -1, dtype=np.int64)
+        idx = population @ place
+    step = max(1, (1 << _CHUNK_BITS) // (n << k))
+    for start in range(0, len(subsets), step):
+        chunk = subsets[start:start + step]
+        if table is not None:
+            weights = place[chunk].T  # (k, subsets)
+            offsets = patterns @ weights  # each pattern written on each subset
+            context = idx[:, None] & ~weights.sum(axis=0)  # each chromosome, subset cleared
+            fits = table[offsets[:, None, :] + context]
+        else:
+            variants = np.empty((2 ** k, n, len(chunk), size), dtype=np.uint8)
+            variants[:] = population[:, None, :]
+            variants[:, :, np.arange(len(chunk))[:, None], chunk] = patterns[:, None, None, :]
+            fits = problem.evaluate_many(variants.reshape(-1, size)).reshape(2 ** k, n, len(chunk))
+        # hits[p, s]: chromosomes in which pattern p reaches the maximum on
+        # subset s.  Every chromosome has a maximum, so s passes iff a single
+        # pattern holds all of s's hits.
+        hits = (fits == fits.max(axis=0)).sum(axis=1)
+        passed = hits.max(axis=0) == hits.sum(axis=0)
+        j = int(passed.argmax())
+        if passed[j]:
+            return start + j + 1, int(hits[:, j].argmax())
+    return len(subsets), None
 
 
 @dataclass(frozen=True)
@@ -157,6 +194,12 @@ def ipe(
     and the size resets to 1.  Subset enumeration restarts from scratch
     after every acceptance.  ``subset_order`` is "lex" (deterministic
     default) or "random" (seeded shuffle within each size).
+
+    Counted evaluations are n * 2^k per subset tested, up to and including
+    the first that passes ``test_so``.  The actual fitness work is reads of
+    the fitness table, or above ``TABLE_MAX_BITS`` loci one
+    ``evaluate_many`` call per chunk of subsets, so a chunk may read
+    variants beyond the first pass that are not counted.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -168,29 +211,23 @@ def ipe(
     trace = DecompositionTrace()
     k = 1
     while k <= len(unassigned):
-        accepted = False
         subsets = list(itertools.combinations(sorted(unassigned), k))
         if subset_order == "random":
             rng.shuffle(subsets)
-        for S in subsets:
-            found, a = test_so(problem, S, population)
-            trace.evaluations += n * 2 ** k
-            if not found:
-                continue
-            for v, allele in a.items():
-                population[:, v] = allele
-            unassigned -= set(S)
-            trace.steps.append(
-                TraceStep(len(trace.steps), frozenset(S), a, k, trace.evaluations)
-            )
-            k = 1
-            accepted = True
-            break
-        if accepted:
-            if not unassigned:
-                return IPEResult(tuple(int(b) for b in population[0]), trace)
+        tested, winner = _first_pass(problem, population, np.array(subsets))
+        trace.evaluations += tested * n * 2 ** k
+        if winner is None:
+            k += 1
             continue
-        k += 1
+        S = subsets[tested - 1]
+        bits = unpack_bits(winner, k)
+        population[:, list(S)] = bits
+        a = Assignment(zip(S, bits))
+        unassigned -= set(S)
+        trace.steps.append(TraceStep(len(trace.steps), frozenset(S), a, k, trace.evaluations))
+        if not unassigned:
+            return IPEResult(tuple(int(b) for b in population[0]), trace)
+        k = 1
     trace.failed = True
     return IPEResult(None, trace)
 

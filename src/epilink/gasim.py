@@ -24,6 +24,10 @@ class GaConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.population_size < 1:
+            raise ValueError("population size must be >= 1")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
 
 
 @dataclass(frozen=True)

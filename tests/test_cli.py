@@ -288,6 +288,10 @@ class TestUserErrorsExitTwo:
         ["weak-observability", "--runs", "0"],
         ["weak-observability", "--runs", "2", "--population-sizes", "10,-1"],
         ["weak-observability", "--runs", "2", "--blocks", "2,x"],
+        ["weak-observability", "--runs", "2", "--population", "0", "--generations", "1",
+         "--population-sizes", "10"],
+        ["weak-observability", "--runs", "2", "--population", "10", "--generations", "-1",
+         "--population-sizes", "10"],
         ["ipe", "--kind", "onemax", "--l", "4", "--n", "0"],
         ["decompose", "--kind", "onemax", "--l", "4", "--seed", "-1"],
         ["decompose", "--kind", "onemax", "--l", "4", "--fixture-partition"],
@@ -301,6 +305,15 @@ class TestUserErrorsExitTwo:
     def test_runs_zero_message(self, capsys):
         _, _, err = run(capsys, "weak-observability", "--runs", "0")
         assert err == "error: runs must be >= 1\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--population", "0", "population must be >= 1"),
+        ("--generations", "-1", "generations must be >= 0"),
+    ])
+    def test_ga_size_messages(self, capsys, flag, value, message):
+        _, _, err = run(capsys, "weak-observability", "--runs", "2", "--population-sizes", "10",
+                        flag, value)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("spec", [
         {"kind": "onemax", "l": "abc"},

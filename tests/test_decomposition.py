@@ -1,6 +1,7 @@
 """Partial enumeration, the stationary-superiority test, and the
 iterative solver."""
 
+import contextlib
 import itertools
 from unittest.mock import patch
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink import model
+from epilink import decomposition, model
 from epilink.decomposition import (
     DecompositionTrace,
     TraceStep,
@@ -65,25 +66,31 @@ def sequential_pe(problem, partition, seed):
 
 
 @st.composite
-def problem_and_partition(draw):
-    """A benchmark or a random half-integer lookup table (few levels make
-    ties common), and a random ordered partition of its loci."""
-    choice = draw(st.sampled_from(["lookup", "onemax", "leadingones", "ctrap",
+def fitness_problem(draw):
+    """A benchmark or a random half-integer lookup table; few levels make
+    ties common, and one level is a flat table on which IPE fails."""
+    choice = draw(st.sampled_from(["lookup", "onemax", "leadingones", "ctrap", "cniah",
                                    "cyctrap", "leadingtraps", "onemax-prime"]))
     if choice == "lookup":
         size = draw(st.integers(1, 8))
         levels = draw(st.sampled_from([1, 2, 3, 2 ** size]))
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        problem = LookupTable((rng.integers(0, levels, size=2 ** size) / 2).tolist())
-    else:
-        problem = {
-            "onemax": OneMax(7),
-            "leadingones": LeadingOnes(6),
-            "ctrap": CTrap(2),
-            "cyctrap": CycTrap(3),
-            "leadingtraps": LeadingTraps(2),
-            "onemax-prime": OneMaxPrimeConcat([3, 4]),
-        }[choice]
+        return LookupTable((rng.integers(0, levels, size=2 ** size) / 2).tolist())
+    return {
+        "onemax": OneMax(7),
+        "leadingones": LeadingOnes(6),
+        "ctrap": CTrap(2),
+        "cniah": CNiah(2),
+        "cyctrap": CycTrap(3),
+        "leadingtraps": LeadingTraps(2),
+        "onemax-prime": OneMaxPrimeConcat([3, 4]),
+    }[choice]
+
+
+@st.composite
+def problem_and_partition(draw):
+    """A problem and a random ordered partition of its loci."""
+    problem = draw(fitness_problem())
     order = draw(st.permutations(range(problem.size)))
     bounds = sorted({0, problem.size} | draw(st.sets(st.integers(0, problem.size))))
     return problem, [order[i:j] for i, j in zip(bounds, bounds[1:])]
@@ -151,6 +158,102 @@ class TestPartialEnumeration:
                 assert result.evaluations == expect
 
 
+def sequential_so(problem, S, population):
+    """Reference stationary-superiority test: one ``evaluate_many`` call over
+    the n * 2^|S| variants of one subset."""
+    S = sorted(set(S))
+    n, npat = len(population), 2 ** len(S)
+    patterns = np.array(list(itertools.product((0, 1), repeat=len(S))), dtype=np.uint8)
+    variants = np.repeat(population, npat, axis=0)
+    variants[:, S] = np.tile(patterns, (n, 1))
+    fits = problem.evaluate_many(variants).reshape(n, npat)
+    best = fits.max(axis=1)
+    if not ((fits == best[:, None]).sum(axis=1) == 1).all():
+        return False, None
+    winners = fits.argmax(axis=1)
+    if not (winners == winners[0]).all():
+        return False, None
+    return True, Assignment(zip(S, patterns[winners[0]].tolist()))
+
+
+def sequential_ipe(problem, n, seed, subset_order):
+    """Reference IPE: one ``sequential_so`` call per subset, in order, with
+    n * 2^k counted evaluations per call."""
+    rng = np.random.default_rng(seed)
+    population = random_population(problem, n, rng)
+    unassigned = set(range(problem.size))
+    trace = DecompositionTrace()
+    k = 1
+    while k <= len(unassigned):
+        subsets = list(itertools.combinations(sorted(unassigned), k))
+        if subset_order == "random":
+            rng.shuffle(subsets)
+        for S in subsets:
+            found, a = sequential_so(problem, S, population)
+            trace.evaluations += n * 2 ** k
+            if found:
+                break
+        else:
+            k += 1
+            continue
+        for v, allele in a.items():
+            population[:, v] = allele
+        unassigned -= set(S)
+        trace.steps.append(TraceStep(len(trace.steps), frozenset(S), a, k, trace.evaluations))
+        if not unassigned:
+            return tuple(int(b) for b in population[0]), trace.to_json(), trace.evaluations
+        k = 1
+    trace.failed = True
+    return None, trace.to_json(), trace.evaluations
+
+
+def fitness_path(problem, table):
+    """Leaves the fitness table in place, or with ``table=False`` hides it so
+    that fitness goes through ``evaluate_many``."""
+    if table:
+        return contextlib.nullcontext()
+    return patch.object(problem, "fitness_table", return_value=None)
+
+
+def run_ipe(problem, n, seed, order, table=True, chunk_bits=None):
+    """``ipe`` on either fitness path; ``chunk_bits`` patches the chunk budget."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(fitness_path(problem, table))
+        if chunk_bits is not None:
+            stack.enter_context(patch.object(decomposition, "_CHUNK_BITS", chunk_bits))
+        result = ipe(problem, n, seed, order)
+    return result.chromosome, result.trace.to_json(), result.trace.evaluations
+
+
+class TestBatchedIpe:
+    @settings(max_examples=120, deadline=None)
+    @given(fitness_problem(), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["lex", "random"]), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 8)))
+    def test_matches_sequential_reference(self, problem, n, seed, order, table, chunk_bits):
+        assert run_ipe(problem, n, seed, order, table, chunk_bits) == sequential_ipe(
+            problem, n, seed, order
+        )
+
+    @pytest.mark.parametrize("table", [True, False])
+    @pytest.mark.parametrize("chunk_bits", [2, 3, None])
+    def test_pass_mid_chunk_and_in_later_chunk(self, table, chunk_bits):
+        # only locus 3 matters: singletons 0-2 tie, {3} is the fourth subset
+        # tested; with n = 1 a chunk of 2 (bits 2) puts it second in the
+        # second chunk, a chunk of 4 (bits 3) last in the first
+        p = LookupTable([(i & 1) for i in range(16)], name="last-locus")
+        got = run_ipe(p, 1, 0, "lex", table, chunk_bits)
+        assert got == sequential_ipe(p, 1, 0, "lex")
+        first = got[1]["steps"][0]
+        assert (first["S"], first["cumulative_evaluations"]) == ([3], 4 * 2)
+
+    def test_large_problem_streams(self):
+        # 70 loci: no table, and too wide for a packed int64 index
+        p = OneMax(70)
+        assert p.fitness_table() is None
+        assert run_ipe(p, 3, 2, "random") == sequential_ipe(p, 3, 2, "random")
+
+
 class TestTestSo:
     def test_trap_block_always_wins(self, ctrap8):
         rng = np.random.default_rng(0)
@@ -186,10 +289,32 @@ class TestTestSo:
 
     def test_validation(self, onemax4):
         P = np.zeros((1, 4), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            run_test_so(onemax4, set(), P)
-        with pytest.raises(ValueError):
-            run_test_so(onemax4, {0}, P[:0])
+        for table in (True, False):
+            with fitness_path(onemax4, table):
+                with pytest.raises(ValueError, match="S must be nonempty"):
+                    run_test_so(onemax4, set(), P)
+                with pytest.raises(ValueError, match="population must be nonempty"):
+                    run_test_so(onemax4, {0}, P[:0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([2, 3, 64]), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 8), st.data(), st.booleans())
+    def test_matches_definition(self, size, levels, seed, n, data, table):
+        rng = np.random.default_rng(seed)
+        p = LookupTable((rng.integers(0, levels, size=2 ** size) / 2).tolist())
+        S = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1)))
+        P = random_population(p, n, rng)
+        # winner: the one pattern on S strictly above every other pattern
+        # in every chromosome's context
+        patterns = [Assignment(zip(S, bits)) for bits in itertools.product((0, 1), repeat=len(S))]
+        winners = [
+            a for a in patterns
+            if all(p.evaluate(a.apply(x)) > p.evaluate(b.apply(x))
+                   for x in P.tolist() for b in patterns if b != a)
+        ]
+        with fitness_path(p, table):
+            got = run_test_so(p, S, P)
+        assert got == ((True, winners[0]) if winners else (False, None))
 
     def test_sound_on_stationary_optima(self, ctrap8):
         # the all-ones block pattern is an SO; every population accepts it

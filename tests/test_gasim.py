@@ -37,6 +37,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(10, 5, runs=0)
 
+    def test_size_bounds(self):
+        with pytest.raises(ValueError, match="population size"):
+            GaConfig(0, 5)
+        with pytest.raises(ValueError, match="generations"):
+            GaConfig(10, -1)
+        assert GaConfig(1, 0).generations == 0
+
     def test_defaults(self):
         c = GaConfig(100, 10)
         assert c.crossover_prob == 0.9
