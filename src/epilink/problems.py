@@ -88,9 +88,12 @@ class FitnessProblem:
             arr = arr[:, self.permutation]
         return self.raw_evaluate_many(arr)
 
-    def fitness_table(self) -> np.ndarray | None:
-        """Dense table of scaled fitness over all 2^size chromosomes, or None."""
-        if not self._table_built:
+    def fitness_table(self, build: bool = True) -> np.ndarray | None:
+        """Dense table of scaled fitness over all 2^size chromosomes, or None.
+
+        With ``build=False`` only a table built by an earlier call is returned.
+        """
+        if build and not self._table_built:
             self._table_built = True
             if self.size <= TABLE_MAX_BITS:
                 self._table = completion_fitness(self, EMPTY)

@@ -207,15 +207,22 @@ def sequential_ipe(problem, n, seed, subset_order):
     return None, trace.to_json(), trace.evaluations
 
 
+#: "built": the fitness table is built first, so every scan gathers from
+#: it; "lazy": each scan builds it or streams as it would on its own;
+#: "hidden": there is no table, so fitness goes through ``evaluate_many``.
+TABLE_MODES = ["built", "lazy", "hidden"]
+
+
 def fitness_path(problem, table):
-    """Leaves the fitness table in place, or with ``table=False`` hides it so
-    that fitness goes through ``evaluate_many``."""
-    if table:
-        return contextlib.nullcontext()
-    return patch.object(problem, "fitness_table", return_value=None)
+    """Sets up the fitness path named by ``table``, one of ``TABLE_MODES``."""
+    if table == "hidden":
+        return patch.object(problem, "fitness_table", return_value=None)
+    if table == "built":
+        problem.fitness_table()
+    return contextlib.nullcontext()
 
 
-def run_ipe(problem, n, seed, order, table=True, chunk_bits=None):
+def run_ipe(problem, n, seed, order, table="lazy", chunk_bits=None):
     """``ipe`` on either fitness path; ``chunk_bits`` patches the chunk budget."""
     with contextlib.ExitStack() as stack:
         stack.enter_context(fitness_path(problem, table))
@@ -228,14 +235,14 @@ def run_ipe(problem, n, seed, order, table=True, chunk_bits=None):
 class TestBatchedIpe:
     @settings(max_examples=120, deadline=None)
     @given(fitness_problem(), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from(["lex", "random"]), st.booleans(),
+           st.sampled_from(["lex", "random"]), st.sampled_from(TABLE_MODES),
            st.one_of(st.none(), st.integers(0, 8)))
     def test_matches_sequential_reference(self, problem, n, seed, order, table, chunk_bits):
         assert run_ipe(problem, n, seed, order, table, chunk_bits) == sequential_ipe(
             problem, n, seed, order
         )
 
-    @pytest.mark.parametrize("table", [True, False])
+    @pytest.mark.parametrize("table", ["built", "hidden"])
     @pytest.mark.parametrize("chunk_bits", [2, 3, None])
     def test_pass_mid_chunk_and_in_later_chunk(self, table, chunk_bits):
         # only locus 3 matters: singletons 0-2 tie, {3} is the fourth subset
@@ -252,6 +259,17 @@ class TestBatchedIpe:
         p = OneMax(70)
         assert p.fitness_table() is None
         assert run_ipe(p, 3, 2, "random") == sequential_ipe(p, 3, 2, "random")
+
+    def test_table_built_only_when_the_scan_costs_as_much(self):
+        # onemax-20, n = 8: the first scan passes after 8 * 2 of the
+        # 8 * 2 * 20 evaluations it could take, far below 2^20
+        p = OneMax(20)
+        assert run_ipe(p, 8, 3, "lex") == sequential_ipe(p, 8, 3, "lex")
+        assert p.fitness_table(build=False) is None
+        # onemax-4, n = 2: the first scan could take 2 * 2 * 4 = 2^4
+        p = OneMax(4)
+        assert run_ipe(p, 2, 3, "lex") == sequential_ipe(p, 2, 3, "lex")
+        assert p.fitness_table(build=False) is not None
 
 
 class TestTestSo:
@@ -289,7 +307,7 @@ class TestTestSo:
 
     def test_validation(self, onemax4):
         P = np.zeros((1, 4), dtype=np.uint8)
-        for table in (True, False):
+        for table in TABLE_MODES:
             with fitness_path(onemax4, table):
                 with pytest.raises(ValueError, match="S must be nonempty"):
                     run_test_so(onemax4, set(), P)
@@ -298,7 +316,7 @@ class TestTestSo:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6), st.sampled_from([2, 3, 64]), st.integers(0, 2 ** 32 - 1),
-           st.integers(1, 8), st.data(), st.booleans())
+           st.integers(1, 8), st.data(), st.sampled_from(TABLE_MODES))
     def test_matches_definition(self, size, levels, seed, n, data, table):
         rng = np.random.default_rng(seed)
         p = LookupTable((rng.integers(0, levels, size=2 ** size) / 2).tolist())
