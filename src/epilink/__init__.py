@@ -7,7 +7,6 @@ from .model import (
     ConstrainedOptima,
     EnumerationCapError,
     constrained_optima,
-    eval_assignment,
     global_optimum,
     psi_at,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "FitnessProblem",
     "ProblemSpecError",
     "constrained_optima",
-    "eval_assignment",
     "global_optimum",
     "make_problem",
     "psi_at",

@@ -149,9 +149,7 @@ def cmd_ipe(args) -> int:
     if args.trace:
         payload["trace"] = result.trace.to_json()
     if result.succeeded and 2 ** problem.size <= args.cap:
-        score = oracles.ebacc(
-            oracles.hypothesis_from_chromosome(result.chromosome), problem, args.cap
-        )
+        score = oracles.indicator_ebacc(result.chromosome, problem, args.cap)
         payload["ebacc"] = float(score.ebacc)
         G = graph.build_eg(problem, args.cap)
         payload["topological_order_ok"] = decomposition.trace_topological_check(

@@ -104,15 +104,14 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
     subset's winning pattern (None if none passed).  A chunk's fitness is a
     (2^k patterns, n chromosomes, subsets) tensor: one gather at the packed
     variant indices from the fitness table, else one ``evaluate_many`` call
-    over the chunk's variant rows.  The table is used if it is already
-    built, and built only if it costs no more than the whole scan
-    (2^size <= n * 2^k * subsets), so a scan never enumerates the search
-    space where testing the subsets would not.
+    over the chunk's variant rows.  The scan's planned work for
+    ``fitness_table`` is all of it, n * 2^k * subsets rows, so a scan never
+    enumerates the search space where testing the subsets would not.
     """
     n, size = population.shape
     k = subsets.shape[1]
     patterns = bit_rows(np.arange(2 ** k), k)
-    table = problem.fitness_table(build=(n * len(subsets)) << k >= 1 << size)
+    table = problem.fitness_table((n * len(subsets)) << k)
     if table is not None:  # chromosomes as packed indices, locus 0 most significant
         place = 1 << np.arange(size - 1, -1, -1, dtype=np.int64)
         idx = population @ place
@@ -201,9 +200,9 @@ def ipe(
     Counted evaluations are n * 2^k per subset tested, up to and including
     the first that passes ``test_so``.  The actual fitness work is reads of
     the fitness table, or one ``evaluate_many`` call per chunk of subsets
-    when there is no table (above ``TABLE_MAX_BITS`` loci) or a scan is
-    too small to pay for building it, so a chunk may read variants beyond
-    the first pass that are not counted.
+    when ``fitness_table`` gives none (the table is over its byte budget,
+    or a scan is too small to pay for building it), so a chunk may read
+    variants beyond the first pass that are not counted.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")

@@ -259,7 +259,7 @@ def _scan(problem, a: Assignment, loci: Iterable[int], cap: int) -> tuple[Optima
     nfree = size - len(a)
     if nfree > 0 and 2 ** nfree > cap:
         raise EnumerationCapError(2 ** nfree, cap)
-    table = problem.fitness_table()
+    table = problem.fitness_table(2 ** nfree)
     if table is None:
         values = completion_fitness(problem, a).reshape((2,) * nfree)
     else:  # a view of the table as a 2x...x2 tensor, assigned axes fixed
@@ -295,11 +295,6 @@ def constrained_optima(problem, a: Assignment, cap: int = DEFAULT_CAP) -> Constr
 def psi_at(problem, a: Assignment, v: int, cap: int = DEFAULT_CAP) -> frozenset[int]:
     """The paper-style per-locus allele set of the constrained optima."""
     return constrained_optima(problem, a, cap).per_locus[v]
-
-
-def eval_assignment(problem, a: Assignment, cap: int = DEFAULT_CAP) -> int:
-    """Fitness of any constrained optimum under ``a`` (scaled integer)."""
-    return constrained_optima(problem, a, cap).fitness
 
 
 def global_optimum(problem, cap: int = DEFAULT_CAP) -> tuple[int, ...]:

@@ -84,7 +84,7 @@ def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> boo
     assigned = sorted(a.coverage)
     free = [v for v in range(size) if v not in a]
     # rows: completions of the free loci; columns: patterns on the coverage
-    fits = np.transpose(problem.fitness_table().reshape((2,) * size), free + assigned)
+    fits = np.transpose(problem.fitness_table(2 ** size).reshape((2,) * size), free + assigned)
     fits = fits.reshape(2 ** len(free), 2 ** len(assigned))
     candidate = fits[:, [pack_bits(a[v] for v in assigned)]]
     # the candidate beats every rival in every row iff it is the only
@@ -278,6 +278,16 @@ def ebacc(hypothesis: Callable[[tuple[int, ...]], bool], problem, cap: int = DEF
             rejected += 1
     spec = Fraction(rejected, total)
     return EbaccScore(sens, spec, Fraction(sens + spec, 2))
+
+
+def indicator_ebacc(c: Sequence[int], problem, cap: int = DEFAULT_CAP) -> EbaccScore:
+    """``ebacc`` of ``hypothesis_from_chromosome(c)`` in closed form: the
+    indicator accepts only c, so it finds the optimum iff c is the optimum,
+    and otherwise accepts one of the 2^size - 1 non-optima."""
+    if tuple(c) == global_optimum(problem, cap):  # refuses 2^size > cap
+        return EbaccScore(1, Fraction(1), Fraction(1))
+    spec = Fraction(2 ** problem.size - 2, 2 ** problem.size - 1)
+    return EbaccScore(0, spec, spec / 2)
 
 
 def hypothesis_from_chromosome(c: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:

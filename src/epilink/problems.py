@@ -16,9 +16,8 @@ from .model import EMPTY, bits_from_str, completion_fitness, pack_bits
 
 FITNESS_SCALE = 2
 
-#: Problems up to this many bits get a dense fitness table for fast
-#: exhaustive scans.
-TABLE_MAX_BITS = 20
+#: Bytes the dense fitness table may take: 2^22 int64 entries.
+_TABLE_BUDGET = 2 ** 25
 
 
 def unscale(value: int) -> float:
@@ -52,8 +51,8 @@ class FitnessProblem:
     identity permutation is the default.  The fitness never changes after
     construction, but an instance is not immutable: it fills two
     single-value caches lazily, with no locking — the global optimum
-    (``_g``) and the dense fitness table (``_table``).  Each worker process
-    fills its own copy.
+    (``_g``) and the dense fitness table (``_table``, once a caller's work
+    pays for it).  Each worker process fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -70,7 +69,6 @@ class FitnessProblem:
         self.permutation = permutation
         self._g = None
         self._table: np.ndarray | None = None
-        self._table_built = False
 
     def raw_evaluate_many(self, ys: np.ndarray) -> np.ndarray:
         """Scaled fitness of each row of ``ys``, a (rows, size) 0/1 array."""
@@ -88,15 +86,16 @@ class FitnessProblem:
             arr = arr[:, self.permutation]
         return self.raw_evaluate_many(arr)
 
-    def fitness_table(self, build: bool = True) -> np.ndarray | None:
+    def fitness_table(self, work: int | None = None) -> np.ndarray | None:
         """Dense table of scaled fitness over all 2^size chromosomes, or None.
 
-        With ``build=False`` only a table built by an earlier call is returned.
+        Built iff the caller's planned ``work`` in rows (None: the whole
+        table) is at least 2^size and 8 * 2^size bytes fit ``_TABLE_BUDGET``;
+        otherwise a table built earlier is returned, or None.
         """
-        if build and not self._table_built:
-            self._table_built = True
-            if self.size <= TABLE_MAX_BITS:
-                self._table = completion_fitness(self, EMPTY)
+        pays = work is None or work >= 2 ** self.size
+        if self._table is None and pays and 8 << self.size <= _TABLE_BUDGET:
+            self._table = completion_fitness(self, EMPTY)
         return self._table
 
     def __repr__(self) -> str:
@@ -259,7 +258,7 @@ class LookupTable(FitnessProblem):
     @classmethod
     def from_problem(cls, problem: FitnessProblem, **kwargs) -> "LookupTable":
         """Freeze any small problem into its dense table (round-trip helper)."""
-        table = problem.fitness_table()
+        table = problem.fitness_table(2 ** problem.size)
         if table is None:
             raise ProblemSpecError(
                 f"problem size {problem.size} too large to tabulate"

@@ -265,11 +265,11 @@ class TestBatchedIpe:
         # 8 * 2 * 20 evaluations it could take, far below 2^20
         p = OneMax(20)
         assert run_ipe(p, 8, 3, "lex") == sequential_ipe(p, 8, 3, "lex")
-        assert p.fitness_table(build=False) is None
+        assert p.fitness_table(0) is None
         # onemax-4, n = 2: the first scan could take 2 * 2 * 4 = 2^4
         p = OneMax(4)
         assert run_ipe(p, 2, 3, "lex") == sequential_ipe(p, 2, 3, "lex")
-        assert p.fitness_table(build=False) is not None
+        assert p.fitness_table(0) is not None
 
 
 class TestTestSo:

@@ -1,14 +1,17 @@
 """The enumeration kernel against plain itertools brute force.
 
 ``optima_grid`` (and ``constrained_optima``, its one-row case) reads
-completions either as a view of the dense fitness table or, for problems
-too large to tabulate, streamed through ``evaluate_many``.  Each property
-runs on both paths: the streaming path is reached by hiding the table, and
-its chunking by shrinking the chunk.
+completions either as a view of the dense fitness table or, where
+``fitness_table`` gives none, streamed through ``evaluate_many``.  Each
+property runs on both paths: the streaming path is reached by hiding the
+table, and its chunking by shrinking the chunk.  ``TestTableRule`` checks
+when the table is built, and the streaming path reached by a shrunken
+byte budget.
 """
 
 import contextlib
 import itertools
+from dataclasses import astuple
 from unittest.mock import patch
 
 import numpy as np
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink import model
+from epilink import model, problems
+from epilink.graph import EpistaticGraph, build_eg
 from epilink.model import (
     EMPTY,
     Assignment,
@@ -28,7 +32,7 @@ from epilink.model import (
     unpack_bits,
 )
 from epilink.oracles import is_stationary_optimum
-from epilink.problems import CTrap, LeadingOnes, LookupTable
+from epilink.problems import CTrap, LeadingOnes, LookupTable, OneMax
 
 PATHS = ("table", "stream", "stream-chunked")
 
@@ -51,9 +55,12 @@ def lookup_and_assignment(draw, max_size=10, min_assigned=0):
 
 @contextlib.contextmanager
 def on_path(problem, path):
-    """Context in which ``constrained_optima`` takes the given path."""
+    """Context in which ``constrained_optima`` takes the given path.  The
+    table path builds the table first: a lone restricted scan would stream."""
     with contextlib.ExitStack() as stack:
-        if path != "table":
+        if path == "table":
+            problem.fitness_table()
+        else:
             stack.enter_context(patch.object(problem, "fitness_table", return_value=None))
         if path == "stream-chunked":
             stack.enter_context(patch.object(model, "_STREAM_BITS", 2))
@@ -234,3 +241,70 @@ class TestCapBeforeCache:
         assert constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 7) == first
         with pytest.raises(EnumerationCapError):
             constrained_optima(p, Assignment(((0, 1),)), cap=2 ** 6)
+
+
+def rows_evaluated(problem):
+    """Context yielding a mock whose calls are the ``evaluate_many`` calls."""
+    return patch.object(problem, "evaluate_many", wraps=problem.evaluate_many)
+
+
+class TestTableRule:
+    """The table is built iff the caller's planned work covers 2^size rows
+    and the table fits the byte budget."""
+
+    def test_small_restricted_scan_streams(self):
+        p = OneMax(20)
+        with rows_evaluated(p) as spy:
+            opt = constrained_optima(p, Assignment.batch(range(15), 1))
+        assert (opt.fitness, opt.count) == (40, 1)
+        assert p.fitness_table(0) is None
+        assert sum(len(c.args[0]) for c in spy.call_args_list) == 32
+
+    def test_budget(self):
+        assert OneMax(21).fitness_table().shape == (2 ** 21,)
+        assert OneMax(23).fitness_table() is None
+        with patch.object(problems, "_TABLE_BUDGET", 8 << 8):
+            assert OneMax(8).fitness_table().shape == (2 ** 8,)
+            assert OneMax(9).fitness_table() is None
+
+    def test_work_below_the_table_builds_nothing(self):
+        p = CTrap(2)
+        assert p.fitness_table(2 ** 8 - 1) is None
+        assert p.fitness_table(2 ** 8).shape == (2 ** 8,)
+        assert p.fitness_table(0) is p.fitness_table()  # the table built earlier
+
+    def test_over_budget_streams_and_matches(self):
+        # ties in the values make nonstrict edges; one top value keeps the
+        # global optimum unique
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 6, size=2 ** 10) / 2
+        values[int(rng.integers(2 ** 10))] = 3
+        streamed, tabled = LookupTable(values.tolist()), LookupTable(values.tolist())
+        tabled.fitness_table()
+        a, loci = Assignment(((4, 0),)), [1, 7]
+        with patch.object(problems, "_TABLE_BUDGET", 8 << 8), rows_evaluated(streamed) as spy:
+            g = global_optimum(streamed)
+            G = build_eg(streamed)
+            grid = optima_grid(streamed, a, loci)
+        assert streamed.fitness_table(0) is None and spy.called
+        assert g == global_optimum(tabled) == unpack_bits(int(values.argmax()), 10)
+        assert G == build_eg(tabled) == brute_force_eg(streamed, g)
+        assert any(kind == "nonstrict" for *_, kind in G.edges)
+        want = optima_grid(tabled, a, loci)
+        for got_field, want_field in zip(astuple(grid), astuple(want)):
+            assert np.array_equal(got_field, want_field)
+        for row in range(4):
+            best, maximizers = brute_force(streamed, a | grid.pattern(row))
+            assert (grid.fitness[row], grid.count[row]) == (best, len(maximizers))
+
+
+def brute_force_eg(problem, g):
+    """Order-1 edges from the brute-force maximizers with each locus set wrong."""
+    edges = set()
+    for u in range(problem.size):
+        _, maximizers = brute_force(problem, Assignment(((u, 1 - g[u]),)))
+        for v in range(problem.size):
+            alleles = {c[v] for c in maximizers}
+            if v != u and alleles != {g[v]}:
+                edges.add((u, v, "strict" if alleles == {1 - g[v]} else "nonstrict"))
+    return EpistaticGraph(problem.size, frozenset(edges))

@@ -13,7 +13,6 @@ from epilink.model import (
     bits_to_str,
     complement,
     constrained_optima,
-    eval_assignment,
     global_optimum,
     optima_grid,
     pack_bits,
@@ -180,14 +179,14 @@ class TestPsiAndEval:
 
     def test_eval_onemax_partial(self, onemax4):
         # best completion of 0*** is 0111, natural fitness 3 (scaled 6)
-        assert eval_assignment(onemax4, A((0, 0))) == 6
+        assert constrained_optima(onemax4, A((0, 0))).fitness == 6
 
     def test_eval_cniah_partial(self, cniah4):
-        assert eval_assignment(cniah4, A((0, 0))) == 0
+        assert constrained_optima(cniah4, A((0, 0))).fitness == 0
 
     def test_eval_full_equals_evaluate(self, ctrap8):
         c = (1, 1, 1, 1, 0, 0, 0, 0)
-        assert eval_assignment(ctrap8, Assignment(enumerate(c))) == ctrap8.evaluate(c)
+        assert constrained_optima(ctrap8, Assignment(enumerate(c))).fitness == ctrap8.evaluate(c)
 
 
 class TestGlobalOptimum:

@@ -2,20 +2,24 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epilink.graph import build_eg, in_closure
 from epilink.model import Assignment, EnumerationCapError, global_optimum
 from epilink.oracles import (
     ebacc,
     hypothesis_from_chromosome,
+    indicator_ebacc,
     is_stationary_optimum,
     minimum_stationary_optimum,
     verify_blanket,
     verify_clique_structure,
     verify_decomposition_theorem,
 )
-from epilink.problems import CTrap, LeadingOnes, OneMax
+from epilink.problems import CTrap, LeadingOnes, LookupTable, OneMax
 
 
 class TestIsStationaryOptimum:
@@ -204,3 +208,33 @@ class TestEbacc:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             ebacc(lambda c: True, OneMax(10), cap=2 ** 8)
+        with pytest.raises(EnumerationCapError):
+            indicator_ebacc((1,) * 10, OneMax(10), cap=2 ** 8)
+
+
+@st.composite
+def problem_and_chromosome(draw):
+    """A ctrap, onemax or distinct-valued lookup problem of at most 10 loci,
+    and either its optimum or a random chromosome."""
+    kind = draw(st.sampled_from(["ctrap", "onemax", "lookup"]))
+    if kind == "ctrap":
+        problem = CTrap(draw(st.integers(1, 2)))
+    elif kind == "onemax":
+        problem = OneMax(draw(st.integers(1, 10)))
+    else:
+        size = draw(st.integers(1, 10))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        problem = LookupTable((rng.permutation(2 ** size) / 2).tolist())
+    bits = st.lists(st.integers(0, 1), min_size=problem.size, max_size=problem.size)
+    c = draw(st.one_of(st.just(global_optimum(problem)), bits.map(tuple)))
+    return problem, c
+
+
+class TestIndicatorEbacc:
+    @settings(max_examples=80, deadline=None)
+    @given(case=problem_and_chromosome())
+    def test_matches_the_predicate_scan(self, case):
+        problem, c = case
+        got = indicator_ebacc(c, problem)
+        assert got == ebacc(hypothesis_from_chromosome(c), problem)
+        assert isinstance(got.specificity, Fraction) and isinstance(got.ebacc, Fraction)
