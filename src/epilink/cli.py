@@ -248,6 +248,9 @@ def cmd_weak_observability(args) -> int:
     if args.blocks:
         wanted = set(_int_list(args.blocks))
         targets = [t for t in all_targets if t.order in wanted]
+        if not targets:
+            orders = ", ".join(str(t.order) for t in all_targets)
+            raise ProblemSpecError(f"no block has an order in --blocks; the orders are {orders}")
     else:
         targets = all_targets
     sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]

@@ -1,5 +1,13 @@
 """Minimal generational GA used to measure how often a weak epistasis is
-observable in the population (witness pattern present)."""
+observable in the population (witness pattern present).
+
+Runs evolve in blocks: a (runs, population, loci) uint8 stack of at most
+``_BLOCK_ALLELES`` alleles, and at least one run, takes one vectorised
+generation step with one fitness call for the whole stack.  Each run
+still draws from its own seeded generator, in the order a lone run would,
+so every result depends only on the seed, never on the block size.
+``run_ga`` is a stack of one run.
+"""
 
 from __future__ import annotations
 
@@ -46,37 +54,60 @@ class ObservabilityTarget:
         return len(self.loci) - 1
 
 
-def _tournament(fits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Binary tournament indices; strict winner kept, ties picked uniformly."""
-    n = len(fits)
+# Alleles per stacked block of runs; 5 runs of 500 x 25.  Larger blocks
+# gain little speed and cost peak memory.
+_BLOCK_ALLELES = 2 ** 16
+
+
+def _block_runs(population_size: int, width: int) -> int:
+    """Runs per stacked block: as many as fit ``_BLOCK_ALLELES``, at least one."""
+    return max(1, _BLOCK_ALLELES // max(1, population_size * width))
+
+
+def _draws(rng: np.random.Generator, n: int, width: int, config: GaConfig):
+    """One run's random draws for one generation, in a fixed order.
+
+    Tournament entrants ``a``, ``b`` and tie coins; per-pair crossover
+    flags folded into the uniform-crossover mask ``swap``; mutation
+    ``flips``.  None of them depends on the population.
+    """
+    half = n // 2
     a = rng.integers(0, n, size=n)
     b = rng.integers(0, n, size=n)
-    pick_a = fits[a] > fits[b]
-    tie = fits[a] == fits[b]
     coin = rng.integers(0, 2, size=n).astype(bool)
-    return np.where(pick_a | (tie & coin), a, b)
-
-
-def _next_generation(problem, pop: np.ndarray, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
-    fits = problem.evaluate_many(pop)
-    pool = pop[_tournament(fits, rng)]
-    n, width = pool.shape
-    # pair consecutive pool members; uniform crossover per pair
-    half = n // 2
     cross = rng.random(half) < config.crossover_prob
     swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
-    first = pool[0:2 * half:2].copy()
-    second = pool[1:2 * half:2].copy()
-    tmp = first[swap]
-    first[swap] = second[swap]
-    second[swap] = tmp
-    children = np.empty_like(pool)
-    children[0:2 * half:2] = first
-    children[1:2 * half:2] = second
-    if n % 2:
-        children[-1] = pool[-1]
-    flips = rng.random(children.shape) < config.mutation_prob
-    children[flips] = 1 - children[flips]
+    flips = rng.random((n, width)) < config.mutation_prob
+    return a, b, coin, swap, flips
+
+
+def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.ndarray:
+    """One generation for a (runs, n, loci) stack; run ``r`` draws from ``rngs[r]``.
+
+    Binary tournament (strict winner kept, ties by coin), uniform
+    crossover of consecutive pool members (an odd last member passes
+    unchanged), then bit-flip mutation.
+    """
+    runs, n, width = pops.shape
+    half = n // 2
+    a = np.empty((runs, n), dtype=np.int64)
+    b = np.empty((runs, n), dtype=np.int64)
+    coin = np.empty((runs, n), dtype=bool)
+    swap = np.empty((runs, half, width), dtype=bool)
+    flips = np.empty((runs, n, width), dtype=bool)
+    for r, rng in enumerate(rngs):
+        a[r], b[r], coin[r], swap[r], flips[r] = _draws(rng, n, width, config)
+    rows = pops.reshape(runs * n, width)
+    fits = problem.evaluate_many(rows)
+    offset = n * np.arange(runs)[:, None]
+    a += offset
+    b += offset
+    fa, fb = fits[a], fits[b]
+    children = rows[np.where((fa > fb) | ((fa == fb) & coin), a, b)]
+    first = children[:, 0:2 * half:2]
+    second = children[:, 1:2 * half:2]
+    first[...], second[...] = np.where(swap, second, first), np.where(swap, first, second)
+    children ^= flips
     return children
 
 
@@ -84,16 +115,17 @@ def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarra
     """One seeded run; returns per-generation population snapshots
     (index 0 is the uniform random initial population)."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    pop = rng.integers(0, 2, size=(config.population_size, problem.size), dtype=np.uint8)
-    snapshots = [pop.copy()]
+    pops = rng.integers(0, 2, size=(1, config.population_size, problem.size), dtype=np.uint8)
+    snapshots = [pops[0]]
     for _ in range(config.generations):
-        pop = _next_generation(problem, pop, config, rng)
-        snapshots.append(pop.copy())
+        pops = _next_generation(problem, pops, [rng], config)
+        snapshots.append(pops[0])
     return snapshots
 
 
-def _observed(pop: np.ndarray, target: ObservabilityTarget) -> bool:
-    return bool((pop[:, list(target.loci)] == 0).all(axis=1).any())
+def _observed(pops: np.ndarray, target: ObservabilityTarget) -> int:
+    """Number of populations in the (runs, n, loci) stack holding the witness."""
+    return int((~pops[:, :, list(target.loci)].any(axis=2)).any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -118,13 +150,18 @@ def initial_observability(
     rng = np.random.default_rng(seed)
     out = []
     for n in population_sizes:
-        hits = {t: 0 for t in targets}
-        for _ in range(runs):
-            pop = rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
-            for t in targets:
-                hits[t] += _observed(pop, t)
-        for t in targets:
-            p = hits[t] / runs
+        hits = np.zeros(len(targets), dtype=np.int64)
+        step = _block_runs(n, problem.size)
+        for start in range(0, runs, step):
+            # one call per run: a uint8 draw discards its unused random bytes
+            # at the end of each call, so one merged call would differ
+            pops = np.stack([
+                rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
+                for _ in range(min(step, runs - start))
+            ])
+            hits += [_observed(pops, t) for t in targets]
+        for t, hit in zip(targets, hits.tolist()):
+            p = hit / runs
             out.append(
                 ObservabilityPoint(
                     t.order, n, 0, p, runs, math.sqrt(p * (1 - p) / runs)
@@ -143,14 +180,15 @@ def generational_observability(
     hits = np.zeros((len(targets), config.generations + 1), dtype=np.int64)
     root = np.random.default_rng(config.seed)
     run_seeds = root.integers(0, 2 ** 63, size=config.runs)
-    for run_seed in run_seeds:
-        rng = np.random.default_rng(run_seed)
-        pop = rng.integers(0, 2, size=(config.population_size, problem.size), dtype=np.uint8)
+    n, width = config.population_size, problem.size
+    step = _block_runs(n, width)
+    for start in range(0, config.runs, step):
+        rngs = [np.random.default_rng(s) for s in run_seeds[start:start + step]]
+        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in rngs])
         for gen in range(config.generations + 1):
-            for j, t in enumerate(targets):
-                hits[j, gen] += _observed(pop, t)
+            hits[:, gen] += [_observed(pops, t) for t in targets]
             if gen < config.generations:
-                pop = _next_generation(problem, pop, config, rng)
+                pops = _next_generation(problem, pops, rngs, config)
     out = []
     for j, t in enumerate(targets):
         for gen in range(config.generations + 1):

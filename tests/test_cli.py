@@ -288,6 +288,8 @@ class TestUserErrorsExitTwo:
         ["weak-observability", "--runs", "0"],
         ["weak-observability", "--runs", "2", "--population-sizes", "10,-1"],
         ["weak-observability", "--runs", "2", "--blocks", "2,x"],
+        ["weak-observability", "--runs", "3", "--blocks", "9", "--population", "10",
+         "--generations", "1"],
         ["weak-observability", "--runs", "2", "--population", "0", "--generations", "1",
          "--population-sizes", "10"],
         ["weak-observability", "--runs", "2", "--population", "10", "--generations", "-1",

@@ -1,10 +1,14 @@
 """Generational GA and weak-epistasis observability measurements."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epilink import gasim
 from epilink.gasim import (
     GaConfig,
     ObservabilityTarget,
@@ -15,7 +19,7 @@ from epilink.gasim import (
     run_ga,
     _next_generation,
 )
-from epilink.problems import OneMax, weak_observability_problem
+from epilink.problems import OneMax, OneMaxPrimeConcat, weak_observability_problem
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +77,7 @@ class TestRunGa:
         cfg = GaConfig(16, 1, crossover_prob=0.0, mutation_prob=0.0, seed=0)
         pop = np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), (16, 1))
         rng = np.random.default_rng(9)
-        child = _next_generation(p, pop.copy(), cfg, rng)
+        child = _next_generation(p, pop[None].copy(), [rng], cfg)
         assert (child == pop).all()
 
     def test_onemax_selection_pressure(self):
@@ -147,3 +151,145 @@ class TestObservability:
 
     def test_target_order(self):
         assert ObservabilityTarget((0, 1, 2, 3)).order == 3
+
+
+# The per-run loop that the stacked GA replaced, kept as its reference.
+
+def _sequential_tournament(fits, rng):
+    n = len(fits)
+    a = rng.integers(0, n, size=n)
+    b = rng.integers(0, n, size=n)
+    pick_a = fits[a] > fits[b]
+    tie = fits[a] == fits[b]
+    coin = rng.integers(0, 2, size=n).astype(bool)
+    return np.where(pick_a | (tie & coin), a, b)
+
+
+def _sequential_next_generation(problem, pop, config, rng):
+    fits = problem.evaluate_many(pop)
+    pool = pop[_sequential_tournament(fits, rng)]
+    n, width = pool.shape
+    half = n // 2
+    cross = rng.random(half) < config.crossover_prob
+    swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
+    first = pool[0:2 * half:2].copy()
+    second = pool[1:2 * half:2].copy()
+    tmp = first[swap]
+    first[swap] = second[swap]
+    second[swap] = tmp
+    children = np.empty_like(pool)
+    children[0:2 * half:2] = first
+    children[1:2 * half:2] = second
+    if n % 2:
+        children[-1] = pool[-1]
+    flips = rng.random(children.shape) < config.mutation_prob
+    children[flips] = 1 - children[flips]
+    return children
+
+
+def _sequential_observed(pop, target):
+    return bool((pop[:, list(target.loci)] == 0).all(axis=1).any())
+
+
+def sequential_run_ga(problem, config):
+    rng = np.random.default_rng(config.seed)
+    pop = rng.integers(0, 2, size=(config.population_size, problem.size), dtype=np.uint8)
+    snapshots = [pop.copy()]
+    for _ in range(config.generations):
+        pop = _sequential_next_generation(problem, pop, config, rng)
+        snapshots.append(pop.copy())
+    return snapshots
+
+
+def sequential_initial(problem, targets, population_sizes, runs, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in population_sizes:
+        hits = {t: 0 for t in targets}
+        for _ in range(runs):
+            pop = rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
+            for t in targets:
+                hits[t] += _sequential_observed(pop, t)
+        for t in targets:
+            p = hits[t] / runs
+            out.append((t.order, n, 0, p, runs, math.sqrt(p * (1 - p) / runs)))
+    return out
+
+
+def sequential_generational(problem, targets, config):
+    hits = np.zeros((len(targets), config.generations + 1), dtype=np.int64)
+    root = np.random.default_rng(config.seed)
+    for run_seed in root.integers(0, 2 ** 63, size=config.runs):
+        rng = np.random.default_rng(run_seed)
+        pop = rng.integers(0, 2, size=(config.population_size, problem.size), dtype=np.uint8)
+        for gen in range(config.generations + 1):
+            for j, t in enumerate(targets):
+                hits[j, gen] += _sequential_observed(pop, t)
+            if gen < config.generations:
+                pop = _sequential_next_generation(problem, pop, config, rng)
+    out = []
+    for j, t in enumerate(targets):
+        for gen in range(config.generations + 1):
+            p = hits[j, gen] / config.runs
+            out.append((t.order, config.population_size, gen, p, config.runs,
+                        math.sqrt(p * (1 - p) / config.runs)))
+    return out
+
+
+def _as_tuples(points):
+    return [(p.block_order, p.population_size, p.generation, p.probability, p.runs, p.stderr)
+            for p in points]
+
+
+_GA_PROBLEMS = {
+    "weak-25": weak_observability_problem(),
+    # permuted, so the step must evaluate through the problem's permutation
+    "prime-permuted": OneMaxPrimeConcat((3, 2, 4), permutation=[4, 7, 0, 8, 2, 6, 1, 3, 5]),
+    "onemax-7": OneMax(7),
+}
+
+
+def _ga_targets(problem):
+    if isinstance(problem, OneMaxPrimeConcat):
+        return block_targets(problem.block_sizes)
+    return [ObservabilityTarget((0, 1)), ObservabilityTarget((2, 5, 6))]
+
+
+class TestStackedGa:
+    """The stacked GA against the per-run loop it replaced: same points and
+    snapshots, whatever the number of runs in a block."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_GA_PROBLEMS)), st.sampled_from([1, 2, 3, 4, 7, 10]),
+           st.integers(0, 4), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 3), st.sampled_from([(0.9, 0.01), (1.0, 0.3), (0.0, 0.0)]))
+    def test_matches_sequential_reference(self, name, n, generations, runs, seed,
+                                          block_runs, probs):
+        problem = _GA_PROBLEMS[name]
+        targets = _ga_targets(problem)
+        config = GaConfig(n, generations, *probs, runs=runs, seed=seed)
+        with patch.object(gasim, "_BLOCK_ALLELES", block_runs * n * problem.size):
+            got = _as_tuples(generational_observability(problem, targets, config))
+            initial = _as_tuples(initial_observability(problem, targets, [0, n, 5], runs, seed))
+        assert got == sequential_generational(problem, targets, config)
+        assert initial == sequential_initial(problem, targets, [0, n, 5], runs, seed)
+        snapshots = run_ga(problem, config)
+        reference = sequential_run_ga(problem, config)
+        assert len(snapshots) == len(reference) == generations + 1
+        for mine, theirs in zip(snapshots, reference):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert (mine == theirs).all()
+
+    def test_runs_per_block(self):
+        assert gasim._block_runs(500, 25) == 5
+        assert gasim._block_runs(10 ** 6, 25) == 1
+        assert gasim._block_runs(0, 25) == gasim._BLOCK_ALLELES
+
+    def test_observed_counts_populations(self):
+        pops = np.ones((3, 2, 4), dtype=np.uint8)
+        pops[0, 1, :2] = 0
+        pops[2, 0, 1:3] = 0
+        assert gasim._observed(pops, ObservabilityTarget((0, 1))) == 1
+        assert gasim._observed(pops, ObservabilityTarget((1, 2))) == 1
+        assert gasim._observed(pops, ObservabilityTarget((1,))) == 2
+        assert gasim._observed(pops[:, :0], ObservabilityTarget((1,))) == 0
