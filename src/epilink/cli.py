@@ -246,11 +246,15 @@ def cmd_weak_observability(args) -> int:
     _at_least(args.generations, 0, "generations")
     all_targets = gasim.block_targets(problem.block_sizes)
     if args.blocks:
-        wanted = set(_int_list(args.blocks))
+        wanted = _int_list(args.blocks)
+        orders = [t.order for t in all_targets]
+        unknown = [w for w in wanted if w not in orders]
+        if unknown:
+            raise ProblemSpecError(
+                f"--blocks: no block has order {', '.join(map(str, unknown))}; "
+                f"the orders are {', '.join(map(str, orders))}"
+            )
         targets = [t for t in all_targets if t.order in wanted]
-        if not targets:
-            orders = ", ".join(str(t.order) for t in all_targets)
-            raise ProblemSpecError(f"no block has an order in --blocks; the orders are {orders}")
     else:
         targets = all_targets
     sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]

@@ -134,9 +134,6 @@ class Assignment:
     def __or__(self, other: "Assignment") -> "Assignment":
         return Assignment(list(self._d.items()) + list(other.items()))
 
-    def without(self, v: int) -> "Assignment":
-        return Assignment((u, a) for u, a in self._d.items() if u != v)
-
     def apply(self, bits: Sequence[int]) -> tuple[int, ...]:
         """Override the assigned loci of a full chromosome."""
         size = len(bits)

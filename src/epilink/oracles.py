@@ -1,5 +1,7 @@
 """Brute-force ground-truth checkers: stationary optima, decomposition and
-blanket theorem verification, clique structure, and EBACC scoring."""
+blanket theorem verification, clique structure, and EBACC scoring.  The
+minimum-stationary-optimum search runs the full stationary test only on
+candidates that pass a single-flip prefilter, with the loop's results."""
 
 from __future__ import annotations
 
@@ -98,12 +100,36 @@ def minimum_stationary_optimum(problem, v: int, cap: int = DEFAULT_CAP) -> Assig
     Only all-correct candidate patterns need testing (a stationary
     optimum never assigns a wrong allele), so the search walks subsets
     containing v in ascending size, lexicographic within a size.
+
+    S can only be stationary if every single-locus flip of S away from g
+    loses in every context.  After one OR-transform of the table,
+    ``reach[x]`` (x: the loci set wrong) holds locus u's bit iff flipping
+    u fails to lose at some y within x, so S passes iff ``reach`` at the
+    complement of S holds no bit of S.  The full test runs only on the
+    subsets that pass, in order, so the result is the plain loop's.
     """
     g = global_optimum(problem, cap)
-    others = sorted(set(range(problem.size)) - {v})
-    for extra in range(len(others) + 1):
-        for more in itertools.combinations(others, extra):
-            a = Assignment.batch_pattern((v, *more), g)
+    size = problem.size
+    if size > ORACLE_MAX_BITS or 2 ** size > cap:
+        raise EnumerationCapError(2 ** size, min(cap, 2 ** ORACLE_MAX_BITS))
+    if not 0 <= v < size:
+        raise ValueError(f"locus {v} out of range for size {size}")
+    # h[x]: the fitness with the loci of x set wrong
+    h = np.flip(problem.fitness_table(2 ** size).reshape((2,) * size), np.flatnonzero(g))
+    place = 1 << np.arange(size - 1, -1, -1)  # locus u's bit in a packed index
+    reach = np.zeros(h.shape, dtype=np.int64)
+    for u in range(size):
+        right, wrong = np.moveaxis(h, u, 0)
+        np.moveaxis(reach, u, 0)[0] |= (wrong >= right) * place[u]  # a tie is no loss
+    for u in range(size):  # OR over every wrong-set below each x
+        below, above = np.moveaxis(reach, u, 0)
+        above |= below
+    others = [u for u in range(size) if u != v]
+    for extra in range(size):
+        combos = np.array(list(itertools.combinations(others, extra)), dtype=np.intp)
+        masks = place[combos].sum(axis=1) | place[v]
+        for i in np.flatnonzero((reach.ravel()[(2 ** size - 1) ^ masks] & masks) == 0):
+            a = Assignment.batch_pattern((v, *combos[i].tolist()), g)
             if is_stationary_optimum(problem, a, cap):
                 return a
     raise RuntimeError("unreachable: the full global optimum is always stationary")

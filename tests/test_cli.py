@@ -298,6 +298,8 @@ class TestUserErrorsExitTwo:
         ["decompose", "--kind", "onemax", "--l", "4", "--seed", "-1"],
         ["decompose", "--kind", "onemax", "--l", "4", "--fixture-partition"],
         ["eg", "--kind", "onemax-prime-blocks", "--block-sizes", "3,x"],
+        ["weak-observability", "--runs", "3", "--blocks", "2,9", "--population", "10",
+         "--generations", "1", "--population-sizes", "10"],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -307,6 +309,11 @@ class TestUserErrorsExitTwo:
     def test_runs_zero_message(self, capsys):
         _, _, err = run(capsys, "weak-observability", "--runs", "0")
         assert err == "error: runs must be >= 1\n"
+
+    def test_unknown_block_order_message(self, capsys):
+        # one matching order does not hide an unknown one
+        _, _, err = run(capsys, "weak-observability", "--runs", "3", "--blocks", "2,9,7")
+        assert err == "error: --blocks: no block has order 9, 7; the orders are 2, 3, 4, 5, 6\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--population", "0", "population must be >= 1"),

@@ -68,7 +68,9 @@ class TestEpistatic:
         assert set(wit) == {0, 1, 2}
         for s, a in wit.items():
             assert a.coverage == frozenset({0, 1, 2})
-            assert psi_at(ctrap4, a, 3) != psi_at(ctrap4, a.without(s), 3)
+            assert psi_at(ctrap4, a, 3) != psi_at(
+                ctrap4, Assignment((u, x) for u, x in a.items() if u != s), 3
+            )
 
 
 class TestStrength:

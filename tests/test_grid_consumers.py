@@ -42,7 +42,7 @@ def loop_reference(problem):
     def witness(S, v, s):
         for pattern in itertools.product((0, 1), repeat=len(S)):
             a = Assignment(zip(S, pattern))
-            if psi(a, v) != psi(a.without(s), v):
+            if psi(a, v) != psi(Assignment((u, x) for u, x in a.items() if u != s), v):
                 return a
         return None
 

@@ -1,6 +1,8 @@
 """Brute-force theorem oracles and EBACC scoring."""
 
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epilink.graph import build_eg, in_closure
-from epilink.model import Assignment, EnumerationCapError, global_optimum
+from epilink.model import Assignment, EnumerationCapError, global_optimum, pack_bits
 from epilink.oracles import (
     ebacc,
     hypothesis_from_chromosome,
@@ -19,7 +21,8 @@ from epilink.oracles import (
     verify_clique_structure,
     verify_decomposition_theorem,
 )
-from epilink.problems import CTrap, LeadingOnes, LookupTable, OneMax
+from epilink import oracles
+from epilink.problems import CTrap, CycTrap, LeadingOnes, LeadingTraps, LookupTable, OneMax
 
 
 class TestIsStationaryOptimum:
@@ -85,6 +88,100 @@ class TestMinimumStationaryOptimum:
             for v in range(p.size):
                 a = Assignment.batch_pattern(in_closure(G, v), g)
                 assert is_stationary_optimum(p, a)
+
+
+def loop_mso(problem, v):
+    """Reference: the full stationary-optimum test on every subset holding
+    v, in ascending size and lexicographic order, until one passes."""
+    g = global_optimum(problem)
+    others = sorted(set(range(problem.size)) - {v})
+    for extra in range(len(others) + 1):
+        for more in itertools.combinations(others, extra):
+            a = Assignment.batch_pattern((v, *more), g)
+            if is_stationary_optimum(problem, a):
+                return a
+    raise AssertionError("the full global optimum is always stationary")
+
+
+@st.composite
+def tied_lookup_tables(draw):
+    """A half-integer lookup table of 1-8 loci with few levels (so many
+    ties), a unique global optimum and, sometimes, a locus permutation."""
+    size = draw(st.integers(1, 8))
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(0, levels, size=2 ** size).astype(float)
+    values[rng.integers(2 ** size)] = levels  # the unique global optimum
+    permutation = draw(st.one_of(st.none(), st.permutations(range(size))))
+    return LookupTable((values / 2).tolist(), permutation=permutation)
+
+
+class TestMinimumStationaryOptimumSearch:
+    """The prefiltered search against the plain per-subset loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tied_lookup_tables())
+    def test_matches_the_per_subset_loop(self, problem):
+        for v in range(problem.size):
+            assert minimum_stationary_optimum(problem, v) == loop_mso(problem, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_lookup_tables())
+    def test_full_test_runs_exactly_on_single_flip_survivors(self, problem):
+        # the subsets handed to the full test, in order, are those of the
+        # loop's walk (up to its answer) where every single-locus flip away
+        # from g loses in every context; ties count as no loss
+        table = problem.fitness_table()
+        g = global_optimum(problem)
+        rows = np.arange(table.size)
+        bit = [1 << (problem.size - 1 - u) for u in range(problem.size)]
+        seen = []
+        with mock.patch.object(oracles, "is_stationary_optimum",
+                               lambda p, a, cap: seen.append(a) or is_stationary_optimum(p, a, cap)):
+            for v in range(problem.size):
+                seen.clear()
+                answer = minimum_stationary_optimum(problem, v)
+                walk = []
+                others = [u for u in range(problem.size) if u != v]
+                for extra in range(problem.size):
+                    walk += [Assignment.batch_pattern((v, *m), g)
+                             for m in itertools.combinations(others, extra)]
+                walk = walk[:walk.index(answer) + 1]
+                expected = []
+                for a in walk:
+                    fixed = rows[(rows ^ pack_bits(g)) & sum(bit[u] for u in a) == 0]
+                    if all((table[fixed ^ bit[u]] < table[fixed]).all() for u in a):
+                        expected.append(a)
+                assert seen == expected
+
+    @pytest.mark.parametrize("problem, most", [
+        (LeadingTraps(3), 12),
+        (CTrap(3), 12),
+        (LeadingOnes(8), 8),  # ties everywhere behind the first wrong locus
+        (CycTrap(4), 72),  # three or four minimum stationary optima per locus
+    ], ids=["leadingtraps-m3", "ctrap-m3", "leadingones-8", "cyctrap-m4"])
+    def test_prefilter_leaves_few_full_tests(self, monkeypatch, problem, most):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return is_stationary_optimum(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "is_stationary_optimum", counting)
+        found = [minimum_stationary_optimum(problem, v) for v in range(problem.size)]
+        assert found == [loop_mso(problem, v) for v in range(problem.size)]
+        assert len(calls) <= most
+
+    @pytest.mark.parametrize("problem, cap", [(OneMax(17), 2 ** 24), (OneMax(10), 2 ** 8)],
+                             ids=["oracle-bits", "cap"])
+    def test_cap(self, problem, cap):
+        with pytest.raises(EnumerationCapError):
+            minimum_stationary_optimum(problem, 0, cap)
+
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_locus_out_of_range(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            minimum_stationary_optimum(OneMax(6), v)
 
 
 class TestDecompositionTheorem:
