@@ -3,10 +3,11 @@ observable in the population (witness pattern present).
 
 Runs evolve in blocks: a (runs, population, loci) uint8 stack of at most
 ``_BLOCK_ALLELES`` alleles, and at least one run, takes one vectorised
-generation step with one fitness call for the whole stack.  Each run
-still draws from its own seeded generator, in the order a lone run would,
-so every result depends only on the seed, never on the block size.
-``run_ga`` is a stack of one run.
+generation step with one fitness call for the whole stack, and applies
+uniform crossover in place with XOR.  Each run still draws from its own
+seeded generator, in the order a lone run would, so every result depends
+only on the seed, never on the block size.  ``run_ga`` is a stack of one
+run.
 """
 
 from __future__ import annotations
@@ -67,18 +68,21 @@ def _block_runs(population_size: int, width: int) -> int:
 def _draws(rng: np.random.Generator, n: int, width: int, config: GaConfig):
     """One run's random draws for one generation, in a fixed order.
 
-    Tournament entrants ``a``, ``b`` and tie coins; per-pair crossover
-    flags folded into the uniform-crossover mask ``swap``; mutation
-    ``flips``.  None of them depends on the population.
+    Tournament entrants ``ab`` (``a`` then ``b``) and tie coins; per-pair
+    crossover flags folded into the uniform-crossover mask ``swap``;
+    mutation ``flips``.  None of them depends on the population.  Each
+    bounded draw takes one 32-bit word per value, so the one call for
+    ``ab`` reads the same numbers, and leaves the generator in the same
+    state, as one call each for ``a`` and ``b``; an int32 draw of range 2
+    reads the words an int64 one does (a uint8 or bool draw would not).
     """
     half = n // 2
-    a = rng.integers(0, n, size=n)
-    b = rng.integers(0, n, size=n)
-    coin = rng.integers(0, 2, size=n).astype(bool)
+    ab = rng.integers(0, n, size=2 * n)
+    coin = rng.integers(0, 2, size=n, dtype=np.int32) != 0
     cross = rng.random(half) < config.crossover_prob
-    swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
+    swap = (rng.integers(0, 2, size=(half, width), dtype=np.int32) != 0) & cross[:, None]
     flips = rng.random((n, width)) < config.mutation_prob
-    return a, b, coin, swap, flips
+    return ab, coin, swap, flips
 
 
 def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.ndarray:
@@ -90,23 +94,23 @@ def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.nd
     """
     runs, n, width = pops.shape
     half = n // 2
-    a = np.empty((runs, n), dtype=np.int64)
-    b = np.empty((runs, n), dtype=np.int64)
+    ab = np.empty((runs, 2 * n), dtype=np.int64)
     coin = np.empty((runs, n), dtype=bool)
     swap = np.empty((runs, half, width), dtype=bool)
     flips = np.empty((runs, n, width), dtype=bool)
     for r, rng in enumerate(rngs):
-        a[r], b[r], coin[r], swap[r], flips[r] = _draws(rng, n, width, config)
+        ab[r], coin[r], swap[r], flips[r] = _draws(rng, n, width, config)
     rows = pops.reshape(runs * n, width)
     fits = problem.evaluate_many(rows)
-    offset = n * np.arange(runs)[:, None]
-    a += offset
-    b += offset
+    ab += n * np.arange(runs)[:, None]
+    a, b = ab[:, :n], ab[:, n:]
     fa, fb = fits[a], fits[b]
     children = rows[np.where((fa > fb) | ((fa == fb) & coin), a, b)]
     first = children[:, 0:2 * half:2]
     second = children[:, 1:2 * half:2]
-    first[...], second[...] = np.where(swap, second, first), np.where(swap, first, second)
+    d = (first ^ second) & swap
+    first ^= d
+    second ^= d
     children ^= flips
     return children
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -221,6 +222,20 @@ class TestWeakObservability:
         assert header[:4] == ["block_order", "population_size", "generation", "probability"]
         orders = {line.split(",")[0] for line in lines[2:]}
         assert orders == {"2", "3"}
+
+    def test_golden_csv(self, capsys):
+        # Pins the GA's random stream end to end, even if the code and the
+        # sequential reference in test_gasim.py drift together.
+        code, out, _ = run(
+            capsys,
+            "weak-observability", "--runs", "12", "--seed", "7", "--population", "40",
+            "--generations", "4", "--population-sizes", "10,40",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 37
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "412e9811a2c0c4db24e329015145ef6e0e8c550a9b542e9eafd28decbd9e6898"
+        )
 
 
 class TestSpecFilesAndExitCodes:

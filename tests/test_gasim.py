@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epilink import gasim
@@ -236,6 +236,22 @@ def sequential_generational(problem, targets, config):
     return out
 
 
+def _reference_draws(rng, n, width, config):
+    """One run-generation's draws as one call each, in the order the
+    sequential loop above makes them."""
+    half = n // 2
+    a = rng.integers(0, n, size=n)
+    b = rng.integers(0, n, size=n)
+    coin = rng.integers(0, 2, size=n).astype(bool)
+    cross = rng.random(half) < config.crossover_prob
+    swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
+    flips = rng.random((n, width)) < config.mutation_prob
+    return a, b, coin, swap, flips
+
+
+_PROBS = [(0.9, 0.01), (1.0, 0.3), (0.0, 0.0)]
+
+
 def _as_tuples(points):
     return [(p.block_order, p.population_size, p.generation, p.probability, p.runs, p.stderr)
             for p in points]
@@ -262,7 +278,7 @@ class TestStackedGa:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(_GA_PROBLEMS)), st.sampled_from([1, 2, 3, 4, 7, 10]),
            st.integers(0, 4), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
-           st.integers(1, 3), st.sampled_from([(0.9, 0.01), (1.0, 0.3), (0.0, 0.0)]))
+           st.integers(1, 3), st.sampled_from(_PROBS))
     def test_matches_sequential_reference(self, name, n, generations, runs, seed,
                                           block_runs, probs):
         problem = _GA_PROBLEMS[name]
@@ -293,3 +309,26 @@ class TestStackedGa:
         assert gasim._observed(pops, ObservabilityTarget((1, 2))) == 1
         assert gasim._observed(pops, ObservabilityTarget((1,))) == 2
         assert gasim._observed(pops[:, :0], ObservabilityTarget((1,))) == 0
+
+
+class TestDraws:
+    """The merged draws read the same random numbers as one call per array,
+    and leave each generator in the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 30), st.sampled_from(_PROBS),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 1, (0.9, 0.01), 0)
+    @example(599, 25, (0.9, 0.01), 1)
+    @example(600, 30, (1.0, 0.3), 2)
+    def test_same_stream_as_one_call_each(self, n, width, probs, seed):
+        config = GaConfig(n, 1, *probs)
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ab, coin, swap, flips = gasim._draws(mine, n, width, config)
+        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width, config)
+        assert np.array_equal(ab, np.concatenate([a, b]))
+        assert coin.dtype == swap.dtype == flips.dtype == bool
+        assert np.array_equal(coin, coin_ref)
+        assert np.array_equal(swap, swap_ref)
+        assert np.array_equal(flips, flips_ref)
+        assert mine.bit_generator.state == theirs.bit_generator.state

@@ -197,6 +197,30 @@ class TestBenchmarks:
         assert batch.dtype == np.int64
         assert [unscale(f) for f in batch] == [formula(tuple(row)) for row in rows.tolist()]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(2, 40), min_size=1, max_size=8), st.booleans(),
+           st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+    def test_onemax_prime_matches_per_block_formula(self, sizes, permuted, rows, seed):
+        rng = np.random.default_rng(seed)
+        size = sum(sizes)
+        perm = rng.permutation(size).tolist() if permuted else None
+        problem = OneMaxPrimeConcat(sizes, perm)
+        # rows of y, each block random, forced all-zero or forced all-one
+        ys = rng.integers(0, 2, size=(rows, size), dtype=np.uint8)
+        starts = np.cumsum([0] + sizes[:-1])
+        for r in range(rows):
+            for start, b in zip(starts, sizes):
+                kind = rng.integers(3)
+                if kind < 2:
+                    ys[r, start:start + b] = kind
+        xs = np.empty_like(ys)
+        xs[:, perm if permuted else slice(None)] = ys
+        batch = problem.evaluate_many(xs)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [
+            FITNESS_SCALE * onemax_prime_ref(sizes)(y) for y in ys.tolist()
+        ]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             OneMax(4).evaluate((1, 1, 1))
