@@ -8,11 +8,18 @@ uniform crossover in place with XOR.  Each run still draws from its own
 seeded generator, in the order a lone run would, so every result depends
 only on the seed, never on the block size.  ``run_ga`` is a stack of one
 run.
+
+``generational_observability`` spreads its blocks over forked worker
+processes, one per CPU this process may run on: each worker evolves a
+contiguous share of whole blocks, and the witness counts are summed, so
+the points do not depend on the number of workers.  With one CPU, one
+block or no ``fork`` the same block loop runs in process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,9 +134,23 @@ def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarra
     return snapshots
 
 
-def _observed(pops: np.ndarray, target: ObservabilityTarget) -> int:
-    """Number of populations in the (runs, n, loci) stack holding the witness."""
-    return int((~pops[:, :, list(target.loci)].any(axis=2)).any(axis=1).sum())
+def _witness_counts(pops: np.ndarray, targets: Sequence[ObservabilityTarget]) -> np.ndarray:
+    """Number of populations in the (runs, n, loci) stack holding each
+    target's witness.
+
+    The targets' loci are gathered once, loci-major, so each target ORs
+    whole rows of n alleles: a population lacks the witness iff every
+    member has a one among the target's loci.
+    """
+    cols = pops.transpose(0, 2, 1)[:, [i for t in targets for i in t.loci]]
+    counts = np.empty(len(targets), dtype=np.int64)
+    lo = 0
+    for j, t in enumerate(targets):
+        hi = lo + len(t.loci)
+        lacking = np.bitwise_or.reduce(cols[:, lo:hi], axis=1).all(axis=1)
+        counts[j] = len(pops) - np.count_nonzero(lacking)
+        lo = hi
+    return counts
 
 
 @dataclass(frozen=True)
@@ -163,7 +184,7 @@ def initial_observability(
                 rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
                 for _ in range(min(step, runs - start))
             ])
-            hits += [_observed(pops, t) for t in targets]
+            hits += _witness_counts(pops, targets)
         for t, hit in zip(targets, hits.tolist()):
             p = hit / runs
             out.append(
@@ -174,25 +195,111 @@ def initial_observability(
     return out
 
 
+def _run_hits(
+    problem,
+    targets: Sequence[ObservabilityTarget],
+    config: GaConfig,
+    seeds: np.ndarray,
+) -> np.ndarray:
+    """(targets, generations + 1) witness counts of the runs seeded by
+    ``seeds``, evolved block by block."""
+    hits = np.zeros((len(targets), config.generations + 1), dtype=np.int64)
+    n, width = config.population_size, problem.size
+    step = _block_runs(n, width)
+    for start in range(0, len(seeds), step):
+        rngs = [np.random.default_rng(s) for s in seeds[start:start + step]]
+        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in rngs])
+        for gen in range(config.generations + 1):
+            hits[:, gen] += _witness_counts(pops, targets)
+            if gen < config.generations:
+                pops = _next_generation(problem, pops, rngs, config)
+    return hits
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell or
+    cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -> np.ndarray:
+    """``_run_hits`` summed over ``shares``: the first in this process, each
+    other one in a forked worker that sends its counts back through a pipe.
+
+    Plain ``os.fork``: a spawned worker would import numpy again (about
+    0.2 s of CPU each), and importing ``multiprocessing`` alone adds about
+    1 MB to the command's peak memory.
+    """
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _send_hits(write, problem, targets, config, share)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(os.fdopen(read, "rb"))
+        hits = _run_hits(problem, targets, config, shares[0])
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, data in zip(codes, sent):
+        if code != 0 or len(data) != hits.nbytes:
+            raise RuntimeError(f"a GA worker process failed with exit code {code}")
+        hits += np.frombuffer(data, dtype=hits.dtype).reshape(hits.shape)
+    return hits
+
+
+def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray) -> None:
+    """A forked worker's body: writes ``_run_hits`` of ``seeds`` to the
+    pipe ``write`` and ends the process, never returning into the caller's
+    code."""
+    code = 1
+    try:
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(_run_hits(problem, targets, config, seeds).tobytes())
+        code = 0
+    except BaseException:
+        # Not re-raised: unwinding would run the caller's code a second time.
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 def generational_observability(
     problem,
     targets: Sequence[ObservabilityTarget],
     config: GaConfig,
 ) -> list[ObservabilityPoint]:
     """Probability of observing each witness per generation, averaged over
-    independent seeded GA runs at a fixed population size."""
-    hits = np.zeros((len(targets), config.generations + 1), dtype=np.int64)
+    independent seeded GA runs at a fixed population size.
+
+    The runs are cut into contiguous shares of whole blocks, one per CPU
+    this process may run on and at most one per block.  This process
+    evolves the first share and a forked worker each other one.  Each run
+    draws only from its own generator and the counts are summed, so the
+    points do not depend on the number of workers.
+    """
     root = np.random.default_rng(config.seed)
     run_seeds = root.integers(0, 2 ** 63, size=config.runs)
-    n, width = config.population_size, problem.size
-    step = _block_runs(n, width)
-    for start in range(0, config.runs, step):
-        rngs = [np.random.default_rng(s) for s in run_seeds[start:start + step]]
-        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in rngs])
-        for gen in range(config.generations + 1):
-            hits[:, gen] += [_observed(pops, t) for t in targets]
-            if gen < config.generations:
-                pops = _next_generation(problem, pops, rngs, config)
+    step = _block_runs(config.population_size, problem.size)
+    blocks = -(-config.runs // step)
+    workers = min(_cpus(), blocks)
+    if workers == 1:
+        hits = _run_hits(problem, targets, config, run_seeds)
+    else:
+        cuts = [step * (blocks * w // workers) for w in range(workers + 1)]
+        hits = _forked_hits(
+            problem, targets, config, [run_seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        )
     out = []
     for j, t in enumerate(targets):
         for gen in range(config.generations + 1):

@@ -2,9 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from contextlib import nullcontext
+from unittest.mock import patch
 
 import pytest
 
+import epilink
+from epilink import gasim
 from epilink.cli import (
     EXIT_ASSUMPTION,
     EXIT_CAP,
@@ -236,6 +243,39 @@ class TestWeakObservability:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "412e9811a2c0c4db24e329015145ef6e0e8c550a9b542e9eafd28decbd9e6898"
         )
+
+    @pytest.mark.parametrize("cpus", [None, 1, 4])
+    def test_golden_csv_several_blocks(self, capsys, cpus):
+        # 6 blocks of 5 runs, so the runs are shared among forked workers;
+        # the digest was recorded before the GA used more than one process.
+        # None keeps this machine's CPU count.
+        with patch.object(gasim, "_cpus", return_value=cpus) if cpus else nullcontext():
+            code, out, _ = run(
+                capsys,
+                "weak-observability", "--runs", "30", "--seed", "7", "--population", "500",
+                "--generations", "3", "--population-sizes", "10,500",
+            )
+        assert code == EXIT_OK
+        rows = out.splitlines()[2:]
+        assert len(rows) == 30
+        # --population is one of --population-sizes: the sweep row and the
+        # GA's generation-0 row share (block_order, population_size, generation)
+        keys = [tuple(row.split(",")[:3]) for row in rows]
+        assert sorted(k for k in set(keys) if keys.count(k) > 1) == [
+            (str(order), "500", "0") for order in range(2, 7)
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "266df9c2371ea0b6179a3b0865f9374f445ae3d4397cf92077bebecc1c8f0a5d"
+        )
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # Only the GA's parallel branch imports it; every command's start-up
+    # would pay for an import at module level.
+    code = "import sys, epilink.cli; sys.exit('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(epilink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSpecFilesAndExitCodes:

@@ -1,6 +1,7 @@
 """Generational GA and weak-epistasis observability measurements."""
 
 import math
+import os
 from unittest.mock import patch
 
 import numpy as np
@@ -305,10 +306,81 @@ class TestStackedGa:
         pops = np.ones((3, 2, 4), dtype=np.uint8)
         pops[0, 1, :2] = 0
         pops[2, 0, 1:3] = 0
-        assert gasim._observed(pops, ObservabilityTarget((0, 1))) == 1
-        assert gasim._observed(pops, ObservabilityTarget((1, 2))) == 1
-        assert gasim._observed(pops, ObservabilityTarget((1,))) == 2
-        assert gasim._observed(pops[:, :0], ObservabilityTarget((1,))) == 0
+        targets = [ObservabilityTarget((0, 1)), ObservabilityTarget((1, 2)),
+                   ObservabilityTarget((1,))]
+        assert gasim._witness_counts(pops, targets).tolist() == [1, 1, 2]
+        assert gasim._witness_counts(pops[:, :0], targets).tolist() == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 6), st.integers(1, 9), st.data())
+    def test_witness_counts_match_per_target_count(self, runs, n, width, data):
+        # targets may be non-contiguous, unordered, overlapping or empty,
+        # and need not cover every locus (as with --blocks)
+        loci = st.lists(st.integers(0, width - 1), max_size=width, unique=True)
+        targets = [ObservabilityTarget(tuple(t))
+                   for t in data.draw(st.lists(loci, max_size=5))]
+        pops = np.array(data.draw(st.lists(st.integers(0, 1), min_size=runs * n * width,
+                                           max_size=runs * n * width)),
+                        dtype=np.uint8).reshape(runs, n, width)
+        got = gasim._witness_counts(pops, targets)
+        assert got.dtype == np.int64 and got.shape == (len(targets),)
+        assert got.tolist() == [sum(_sequential_observed(pop, t) for pop in pops)
+                                for t in targets]
+
+
+class TestWorkers:
+    """Blocks of runs spread over forked workers give the points one process
+    gives, whatever the number of workers."""
+
+    @pytest.mark.parametrize("name", sorted(_GA_PROBLEMS))
+    def test_points_do_not_depend_on_worker_count(self, name):
+        problem = _GA_PROBLEMS[name]
+        targets = _ga_targets(problem)
+        n = 6
+        # 3 runs per block: 11 runs make 4 blocks, the last one short
+        config = GaConfig(n, 3, runs=11, seed=17)
+        forked = gasim._forked_hits
+        shares = []
+
+        def spy(problem, targets, config, parts):
+            shares.append([len(p) for p in parts])
+            return forked(problem, targets, config, parts)
+
+        points = {}
+        with patch.object(gasim, "_BLOCK_ALLELES", 3 * n * problem.size), \
+                patch.object(gasim, "_forked_hits", spy):
+            for workers in (1, 2, 3):
+                with patch.object(gasim, "_cpus", return_value=workers):
+                    points[workers] = _as_tuples(generational_observability(problem, targets, config))
+        assert shares == [[6, 5], [3, 3, 5]]
+        assert points[1] == points[2] == points[3]
+        assert points[1] == sequential_generational(problem, targets, config)
+
+    def test_one_block_runs_in_process(self, problem25, targets25):
+        config = GaConfig(20, 2, runs=4, seed=3)
+        with patch.object(gasim, "_cpus", return_value=8), \
+                patch.object(gasim, "_forked_hits", side_effect=AssertionError):
+            points = generational_observability(problem25, targets25, config)
+        assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
+
+    def test_failed_worker_raises(self, problem25, targets25):
+        parent = os.getpid()
+
+        class FailsInWorker(OneMaxPrimeConcat):
+            def evaluate_many(self, rows):
+                if os.getpid() != parent:
+                    raise MemoryError("worker")
+                return super().evaluate_many(rows)
+
+        problem = FailsInWorker(problem25.block_sizes)
+        config = GaConfig(10, 1, runs=4, seed=3)
+        with patch.object(gasim, "_BLOCK_ALLELES", 2 * 10 * problem.size), \
+                patch.object(gasim, "_cpus", return_value=2), \
+                pytest.raises(RuntimeError, match="exit code 1"):
+            generational_observability(problem, targets25, config)
+
+    def test_cpus(self):
+        assert 1 <= gasim._cpus() <= (os.cpu_count() or 1)
 
 
 class TestDraws:
