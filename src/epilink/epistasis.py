@@ -4,7 +4,8 @@ A set of loci S is epistatic to a locus v when, for every member s of S,
 some assignment on S changes the constrained-optimal allele set at v
 relative to the same assignment with s dropped (so hitchhikers are
 excluded).  Order-1 relations are further split into strict and
-non-strict; higher orders into strong / weak / neither.
+non-strict; a higher-order relation is weak when no proper subset of S
+is epistatic to v.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ class EpistasisKind(enum.Enum):
     NONE = "none"
     STRICT = "strict"
     NONSTRICT = "nonstrict"
-
-
-class EpistasisStrength(enum.Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-    NEITHER = "neither"
 
 
 def order1_kind(psi: frozenset[int], optimal: int) -> EpistasisKind:
@@ -102,23 +97,6 @@ def epistatic_targets(problem, max_order: int, cap: int = DEFAULT_CAP) -> Iterat
         for S in itertools.combinations(range(problem.size), order):
             witnessed = (_first_witnesses(S, grid) >= 0).all(axis=0)
             yield S, {int(v) for v in np.flatnonzero(witnessed)}
-
-
-def strength(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> EpistasisStrength:
-    """Classify a known epistasis S => v as strong, weak, or neither."""
-    S = frozenset(S)
-    if not epistatic(problem, S, v, cap):
-        raise ValueError(f"{sorted(S)} is not epistatic to {v}")
-    sub = [  # empty for order 1, which is always strong
-        epistatic(problem, T, v, cap)
-        for size in range(1, len(S))
-        for T in itertools.combinations(sorted(S), size)
-    ]
-    if all(sub):
-        return EpistasisStrength.STRONG
-    if not any(sub):
-        return EpistasisStrength.WEAK
-    return EpistasisStrength.NEITHER
 
 
 def find_weak_epistases(

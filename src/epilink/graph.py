@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .model import DEFAULT_CAP, Assignment, constrained_optima, global_optimum
@@ -26,15 +27,23 @@ class EpistaticGraph:
             if kind not in ("strict", "nonstrict"):
                 raise ValueError(f"bad edge kind {kind!r}")
 
-    @property
+    @cached_property
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
+    @cached_property
+    def _predecessors(self) -> dict[int, frozenset[int]]:
+        return {v: frozenset(u for u, w in self.edge_pairs if w == v) for v in range(self.size)}
+
+    @cached_property
+    def _successors(self) -> dict[int, frozenset[int]]:
+        return {u: frozenset(w for x, w in self.edge_pairs if x == u) for u in range(self.size)}
+
     def predecessors(self, v: int) -> frozenset[int]:
-        return frozenset(u for u, w in self.edge_pairs if w == v)
+        return self._predecessors.get(v, frozenset())
 
     def successors(self, u: int) -> frozenset[int]:
-        return frozenset(w for x, w in self.edge_pairs if x == u)
+        return self._successors.get(u, frozenset())
 
     def in_degree(self, v: int) -> int:
         return len(self.predecessors(v))

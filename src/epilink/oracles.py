@@ -1,11 +1,10 @@
 """Brute-force ground-truth checkers: stationary optima, decomposition and
 blanket theorem verification, clique structure, and EBACC scoring.  The
-minimum-stationary-optimum search runs the full stationary test only on
-candidates that pass a single-flip prefilter, with the loop's results."""
+stationary-optimum scans read the fitness table, so they refuse exactly
+what the cap or the table budget refuses."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -22,11 +21,9 @@ from .model import (
     pack_bits,
     unpack_bits,
 )
+from .problems import _TABLE_BUDGET
 from . import epistasis as _ep
 from . import graph as _graph
-
-#: Free-loci bound for the stationary-optimum and blanket scans.
-ORACLE_MAX_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,25 @@ class TheoremReport:
         return "\n".join(lines)
 
 
+def _fitness_table(problem, cap: int) -> np.ndarray:
+    """The fitness table; refused, before any scan, when the cap refuses
+    2^size or the table does not fit its byte budget (22 loci)."""
+    table = problem.fitness_table() if 2 ** problem.size <= cap else None
+    if table is None:
+        raise EnumerationCapError(2 ** problem.size, min(cap, _TABLE_BUDGET // 8))
+    return table
+
+
 def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> bool:
     """Whether the pattern of ``a`` strictly beats every alternative on its
     coverage under every completion of the remaining loci (full scan)."""
     if len(a) == 0:
         raise ValueError("a stationary optimum must be a nonempty assignment")
-    size = problem.size
-    if size > ORACLE_MAX_BITS or 2 ** size > cap:
-        raise EnumerationCapError(2 ** size, min(cap, 2 ** ORACLE_MAX_BITS))
+    table = _fitness_table(problem, cap)
     assigned = sorted(a.coverage)
-    free = [v for v in range(size) if v not in a]
+    free = [v for v in range(problem.size) if v not in a]
     # rows: completions of the free loci; columns: patterns on the coverage
-    fits = np.transpose(problem.fitness_table(2 ** size).reshape((2,) * size), free + assigned)
+    fits = np.transpose(table.reshape((2,) * problem.size), free + assigned)
     fits = fits.reshape(2 ** len(free), 2 ** len(assigned))
     candidate = fits[:, [pack_bits(a[v] for v in assigned)]]
     # the candidate beats every rival in every row iff it is the only
@@ -94,44 +98,52 @@ def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> boo
     return np.count_nonzero(fits >= candidate) == len(fits)
 
 
-def minimum_stationary_optimum(problem, v: int, cap: int = DEFAULT_CAP) -> Assignment:
-    """Smallest stationary optimum assigning locus v.
-
-    Only all-correct candidate patterns need testing (a stationary
-    optimum never assigns a wrong allele), so the search walks subsets
-    containing v in ascending size, lexicographic within a size.
+def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignment, ...]:
+    """Per locus v, the smallest stationary optimum assigning v: the first
+    all-correct subset (no stationary optimum assigns a wrong allele)
+    holding v that passes the full test, by size, lexicographic within one.
 
     S can only be stationary if every single-locus flip of S away from g
     loses in every context.  After one OR-transform of the table,
     ``reach[x]`` (x: the loci set wrong) holds locus u's bit iff flipping
-    u fails to lose at some y within x, so S passes iff ``reach`` at the
-    complement of S holds no bit of S.  The full test runs only on the
-    subsets that pass, in order, so the result is the plain loop's.
+    u fails to lose at some y within x, so S survives iff ``reach`` at the
+    complement of S holds no bit of S.  One walk over the survivors, by
+    size and then descending packed mask (the lexicographic order), runs
+    the full test on each that holds a locus still without an answer.
     """
+    table = _fitness_table(problem, cap)
     g = global_optimum(problem, cap)
     size = problem.size
-    if size > ORACLE_MAX_BITS or 2 ** size > cap:
-        raise EnumerationCapError(2 ** size, min(cap, 2 ** ORACLE_MAX_BITS))
-    if not 0 <= v < size:
-        raise ValueError(f"locus {v} out of range for size {size}")
     # h[x]: the fitness with the loci of x set wrong
-    h = np.flip(problem.fitness_table(2 ** size).reshape((2,) * size), np.flatnonzero(g))
-    place = 1 << np.arange(size - 1, -1, -1)  # locus u's bit in a packed index
-    reach = np.zeros(h.shape, dtype=np.int64)
+    h = np.flip(table.reshape((2,) * size), np.flatnonzero(g))
+    # locus u's bit in a packed index, in the smallest type that holds them all
+    place = (1 << np.arange(size - 1, -1, -1)).astype(np.min_scalar_type(2 ** size - 1))
+    reach = np.zeros(h.shape, dtype=place.dtype)
+    ones = np.zeros(h.shape, dtype=np.uint8)  # each packed index's popcount
     for u in range(size):
         right, wrong = np.moveaxis(h, u, 0)
         np.moveaxis(reach, u, 0)[0] |= (wrong >= right) * place[u]  # a tie is no loss
+        np.moveaxis(ones, u, 0)[1] += 1
     for u in range(size):  # OR over every wrong-set below each x
-        below, above = np.moveaxis(reach, u, 0)
-        above |= below
-    others = [u for u in range(size) if u != v]
-    for extra in range(size):
-        combos = np.array(list(itertools.combinations(others, extra)), dtype=np.intp)
-        masks = place[combos].sum(axis=1) | place[v]
-        for i in np.flatnonzero((reach.ravel()[(2 ** size - 1) ^ masks] & masks) == 0):
-            a = Assignment.batch_pattern((v, *combos[i].tolist()), g)
-            if is_stationary_optimum(problem, a, cap):
-                return a
+        np.moveaxis(reach, u, 0)[1] |= np.moveaxis(reach, u, 0)[0]
+    caught = np.arange(2 ** size, dtype=place.dtype)  # m & reach[~m], per mask m
+    caught &= reach.ravel()[::-1]
+    del reach
+    survivors = np.flatnonzero(caught == 0)
+    sizes = ones.ravel()[survivors]
+    del caught, ones
+    found: dict[int, Assignment] = {}
+    left = 2 ** size - 1  # the loci still without an answer
+    for k in range(1, size + 1):
+        sized = survivors[sizes == k][::-1]
+        for m in sized[(sized & left) != 0].tolist():
+            if m & left:
+                a = Assignment.batch_pattern([u for u in range(size) if m & place[u]], g)
+                if is_stationary_optimum(problem, a, cap):
+                    found = {u: a for u in a} | found  # earlier answers win
+                    left &= ~m
+        if not left:
+            return tuple(found[v] for v in range(size))
     raise RuntimeError("unreachable: the full global optimum is always stationary")
 
 
@@ -164,8 +176,7 @@ def verify_decomposition_theorem(
         return report
     G = eg if eg is not None else _graph.build_eg(problem, cap)
     g = global_optimum(problem, cap)
-    for v in range(problem.size):
-        mso = minimum_stationary_optimum(problem, v, cap)
+    for v, mso in enumerate(minimum_stationary_optima(problem, cap)):
         closure = _graph.in_closure(G, v)
         ok = mso.coverage == closure
         report.add(

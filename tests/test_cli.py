@@ -160,6 +160,16 @@ class TestVerify:
         assert len(blanket) == 12
         assert all("[not-applicable]" in line for line in blanket)
 
+    def test_oracles_answer_above_sixteen_loci(self, capsys):
+        # the oracles are bounded by the fitness-table budget (22 loci) alone
+        code, out, _ = run(
+            capsys,
+            "verify", "--kind", "onemax", "--l", "17",
+            "--theorems", "decomposition", "--weak-order", "1",
+        )
+        assert code == EXIT_OK
+        assert out.count("[          pass]") == 34
+
     def test_cniah_clique_not_applicable(self, capsys):
         code, out, _ = run(
             capsys,

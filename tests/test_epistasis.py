@@ -1,4 +1,4 @@
-"""Epistasis detection, strength classification, and stationary deception."""
+"""Epistasis detection, the weak-epistasis audit, and stationary deception."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import pytest
 
 from epilink.model import Assignment, global_optimum, psi_at
 from epilink import epistasis as ep
-from epilink.epistasis import EpistasisKind, EpistasisStrength
+from epilink.epistasis import EpistasisKind
 from epilink.problems import CTrap, OneMaxPrimeConcat
 
 
@@ -71,26 +71,6 @@ class TestEpistatic:
             assert psi_at(ctrap4, a, 3) != psi_at(
                 ctrap4, Assignment((u, x) for u, x in a.items() if u != s), 3
             )
-
-
-class TestStrength:
-    def test_trap_block_strong(self, ctrap4):
-        assert ep.strength(ctrap4, {0, 1, 2}, 3) is EpistasisStrength.STRONG
-
-    def test_weak_pair_weak(self, weak_pair):
-        assert ep.strength(weak_pair, {0, 1}, 2) is EpistasisStrength.WEAK
-
-    def test_onemax_prime_block_weak(self):
-        p = OneMaxPrimeConcat([3])
-        assert ep.strength(p, {0, 1}, 2) is EpistasisStrength.WEAK
-
-    def test_order1_always_strong(self, ctrap8, cniah8):
-        assert ep.strength(ctrap8, {0}, 3) is EpistasisStrength.STRONG
-        assert ep.strength(cniah8, {0}, 3) is EpistasisStrength.STRONG
-
-    def test_non_epistatic_input_rejected(self, onemax8):
-        with pytest.raises(ValueError):
-            ep.strength(onemax8, {0, 1}, 2)
 
 
 class TestWeakAudit:

@@ -16,7 +16,7 @@ from epilink.oracles import (
     hypothesis_from_chromosome,
     indicator_ebacc,
     is_stationary_optimum,
-    minimum_stationary_optimum,
+    minimum_stationary_optima,
     verify_blanket,
     verify_clique_structure,
     verify_decomposition_theorem,
@@ -55,24 +55,24 @@ class TestIsStationaryOptimum:
 class TestMinimumStationaryOptimum:
     def test_onemax_singleton(self):
         p = OneMax(6)
-        assert minimum_stationary_optimum(p, 2) == Assignment(((2, 1),))
+        assert minimum_stationary_optima(p)[2] == Assignment(((2, 1),))
 
     def test_ctrap_whole_block(self, ctrap8):
-        assert minimum_stationary_optimum(ctrap8, 5) == Assignment.batch(
+        assert minimum_stationary_optima(ctrap8)[5] == Assignment.batch(
             range(4, 8), 1
         )
 
     def test_leadingones_prefix(self):
         p = LeadingOnes(6)
-        assert minimum_stationary_optimum(p, 3) == Assignment.batch(range(4), 1)
+        assert minimum_stationary_optima(p)[3] == Assignment.batch(range(4), 1)
 
     def test_cyctrap_locus2_coverage_ten(self, cyctrap12):
-        mso = minimum_stationary_optimum(cyctrap12, 2)
+        mso = minimum_stationary_optima(cyctrap12)[2]
         assert mso.coverage == frozenset(range(10))
         assert len(mso) == 10
 
     def test_minimality(self, ctrap8):
-        mso = minimum_stationary_optimum(ctrap8, 1)
+        mso = minimum_stationary_optima(ctrap8)[1]
         g = global_optimum(ctrap8)
         for drop in mso.coverage:
             smaller = Assignment.batch_pattern(mso.coverage - {drop}, g)
@@ -117,20 +117,21 @@ def tied_lookup_tables(draw):
 
 
 class TestMinimumStationaryOptimumSearch:
-    """The prefiltered search against the plain per-subset loop."""
+    """The one prefiltered walk against the plain per-locus loop."""
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tied_lookup_tables())
     def test_matches_the_per_subset_loop(self, problem):
-        for v in range(problem.size):
-            assert minimum_stationary_optimum(problem, v) == loop_mso(problem, v)
+        assert minimum_stationary_optima(problem) == tuple(
+            loop_mso(problem, v) for v in range(problem.size))
 
     @settings(max_examples=60, deadline=None)
     @given(problem=tied_lookup_tables())
     def test_full_test_runs_exactly_on_single_flip_survivors(self, problem):
         # the subsets handed to the full test, in order, are those of the
-        # loop's walk (up to its answer) where every single-locus flip away
-        # from g loses in every context; ties count as no loss
+        # walk (ascending size, lexicographic within a size) where every
+        # single-locus flip away from g loses in every context (ties count
+        # as no loss) and some member has no answer yet; each at most once
         table = problem.fitness_table()
         g = global_optimum(problem)
         rows = np.arange(table.size)
@@ -138,27 +139,30 @@ class TestMinimumStationaryOptimumSearch:
         seen = []
         with mock.patch.object(oracles, "is_stationary_optimum",
                                lambda p, a, cap: seen.append(a) or is_stationary_optimum(p, a, cap)):
-            for v in range(problem.size):
-                seen.clear()
-                answer = minimum_stationary_optimum(problem, v)
-                walk = []
-                others = [u for u in range(problem.size) if u != v]
-                for extra in range(problem.size):
-                    walk += [Assignment.batch_pattern((v, *m), g)
-                             for m in itertools.combinations(others, extra)]
-                walk = walk[:walk.index(answer) + 1]
-                expected = []
-                for a in walk:
-                    fixed = rows[(rows ^ pack_bits(g)) & sum(bit[u] for u in a) == 0]
-                    if all((table[fixed ^ bit[u]] < table[fixed]).all() for u in a):
-                        expected.append(a)
-                assert seen == expected
+            found = minimum_stationary_optima(problem)
+        expected = []
+        left = set(range(problem.size))
+        for k in range(1, problem.size + 1):
+            for S in itertools.combinations(range(problem.size), k):
+                if not left & set(S):
+                    continue
+                fixed = rows[(rows ^ pack_bits(g)) & sum(bit[u] for u in S) == 0]
+                if all((table[fixed ^ bit[u]] < table[fixed]).all() for u in S):
+                    a = Assignment.batch_pattern(S, g)
+                    expected.append(a)
+                    if is_stationary_optimum(problem, a):
+                        left -= set(S)
+            if not left:
+                break
+        assert seen == expected
+        assert len(set(seen)) == len(seen)
+        assert all(found[v] in seen for v in range(problem.size))
 
     @pytest.mark.parametrize("problem, most", [
-        (LeadingTraps(3), 12),
-        (CTrap(3), 12),
-        (LeadingOnes(8), 8),  # ties everywhere behind the first wrong locus
-        (CycTrap(4), 72),  # three or four minimum stationary optima per locus
+        (LeadingTraps(3), 3),  # one full test per block
+        (CTrap(3), 3),
+        (LeadingOnes(8), 8),  # one prefix per locus
+        (CycTrap(4), 12),
     ], ids=["leadingtraps-m3", "ctrap-m3", "leadingones-8", "cyctrap-m4"])
     def test_prefilter_leaves_few_full_tests(self, monkeypatch, problem, most):
         calls = []
@@ -168,20 +172,19 @@ class TestMinimumStationaryOptimumSearch:
             return is_stationary_optimum(*args, **kwargs)
 
         monkeypatch.setattr(oracles, "is_stationary_optimum", counting)
-        found = [minimum_stationary_optimum(problem, v) for v in range(problem.size)]
-        assert found == [loop_mso(problem, v) for v in range(problem.size)]
+        found = minimum_stationary_optima(problem)
+        assert found == tuple(loop_mso(problem, v) for v in range(problem.size))
         assert len(calls) <= most
 
-    @pytest.mark.parametrize("problem, cap", [(OneMax(17), 2 ** 24), (OneMax(10), 2 ** 8)],
+    @pytest.mark.parametrize("problem, cap", [(OneMax(23), 2 ** 24), (OneMax(10), 2 ** 8)],
                              ids=["oracle-bits", "cap"])
-    def test_cap(self, problem, cap):
+    def test_cap(self, monkeypatch, problem, cap):
+        # the table budget (22 loci) or the cap refuses before any scan
+        rows = []
+        monkeypatch.setattr(problem, "evaluate_many", lambda ys: rows.append(len(ys)))
         with pytest.raises(EnumerationCapError):
-            minimum_stationary_optimum(problem, 0, cap)
-
-    @pytest.mark.parametrize("v", [-1, 6])
-    def test_locus_out_of_range(self, v):
-        with pytest.raises(ValueError, match="out of range"):
-            minimum_stationary_optimum(OneMax(6), v)
+            minimum_stationary_optima(problem, cap)
+        assert rows == []
 
 
 class TestDecompositionTheorem:
@@ -195,10 +198,8 @@ class TestDecompositionTheorem:
         p = LeadingOnes(6)
         report = verify_decomposition_theorem(p, weak_order=3)
         assert report.ok
-        for v in range(6):
-            assert minimum_stationary_optimum(p, v).coverage == frozenset(
-                range(v + 1)
-            )
+        for v, mso in enumerate(minimum_stationary_optima(p)):
+            assert mso.coverage == frozenset(range(v + 1))
 
     def test_cyctrap_not_applicable(self, cyctrap12):
         report = verify_decomposition_theorem(cyctrap12, weak_order=2)
