@@ -7,8 +7,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
+
+# numpy's OpenBLAS starts a thread per CPU when it is imported, and no
+# command makes a BLAS call that gains from them (the only one, the block
+# sum of OneMaxPrimeConcat, is as fast on one thread).  This must run
+# before the package imports below load numpy; a value the user has set
+# wins, and forked GA workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import decomposition, epistasis, gasim, graph, oracles
 from .decomposition import pac_sweep
@@ -50,8 +58,13 @@ def _at_least(value: int, minimum: int, what: str) -> int:
 
 def _load_problem(args):
     if args.spec:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            raise ProblemSpecError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ProblemSpecError(f"{args.spec}: not UTF-8 text ({exc})") from exc
     else:
         if not args.kind:
             raise ProblemSpecError("pass --spec FILE or --kind with --l/--m")
@@ -67,8 +80,11 @@ def _load_problem(args):
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProblemSpecError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -83,6 +99,7 @@ def _csv(header_lines: Sequence[str], columns: Sequence[str], rows) -> str:
 
 def cmd_eg(args) -> int:
     problem = _load_problem(args)
+    _at_least(args.epistasis_order_bound, 0, "epistasis order bound")
     G = graph.build_eg(problem, args.cap)
     cg = graph.condense(G)
     k_scc = max((len(c) for c in cg.components), default=0)
@@ -161,6 +178,7 @@ def cmd_ipe(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
+    _at_least(args.weak_order, 0, "weak-epistasis audit order")
     wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
     unknown = set(wanted) - {"decomposition", "blanket", "clique"}
     if unknown:
@@ -208,7 +226,7 @@ def _pac_threshold(k: int, size: int, delta: float):
 
 def cmd_pac_sweep(args) -> int:
     problem = _load_problem(args)
-    if args.delta <= 0 or args.delta >= 1:
+    if not 0 < args.delta < 1:  # also rejects NaN
         raise ProblemSpecError("delta must lie in (0, 1)")
     _at_least(args.runs, 1, "runs")
     G = graph.build_eg(problem, args.cap)
@@ -359,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _at_least(getattr(args, "seed", 0), 0, "seed")  # numpy seeds are non-negative
         return args.func(args)
-    except (ProblemSpecError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ProblemSpecError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationCapError as exc:

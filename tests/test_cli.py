@@ -279,13 +279,79 @@ class TestWeakObservability:
         )
 
 
+def fresh_python(code, **env_vars):
+    """Exit code of ``code`` in a new interpreter that imports this checkout.
+
+    ``OPENBLAS_NUM_THREADS`` is dropped from the child's environment (an
+    in-process ``epilink.cli`` import has set it here) unless given."""
+    src = os.path.dirname(os.path.dirname(epilink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
 def test_cli_import_does_not_load_multiprocessing():
     # Only the GA's parallel branch imports it; every command's start-up
     # would pay for an import at module level.
-    code = "import sys, epilink.cli; sys.exit('multiprocessing' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(epilink.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert fresh_python("import sys, epilink.cli; sys.exit('multiprocessing' in sys.modules)") == 0
+
+
+class TestStartup:
+    """Package import stays light; the CLI defaults OpenBLAS to one thread."""
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        code = (
+            "import os, sys, epilink\n"
+            "sys.exit('numpy' in sys.modules or 'OPENBLAS_NUM_THREADS' in os.environ)"
+        )
+        assert fresh_python(code) == 0
+
+    def test_star_import_binds_all_and_unknown_names_raise(self):
+        code = (
+            "import sys, epilink\n"
+            "from epilink import *\n"
+            "from epilink import model, problems\n"
+            "names = dict(globals())\n"
+            "bound = all(names[n] is getattr(model, n, None) or names[n] is getattr(problems, n)\n"
+            "            for n in epilink.__all__)\n"
+            "try:\n"
+            "    epilink.nope\n"
+            "    raised = False\n"
+            "except AttributeError:\n"
+            "    raised = True\n"
+            "sys.exit(not (bound and raised and set(epilink.__all__) <= set(dir(epilink))))"
+        )
+        assert fresh_python(code) == 0
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_cli_import_sets_openblas_default(self, preset, expected):
+        code = (
+            "import os, sys, epilink.cli\n"
+            f"sys.exit(os.environ['OPENBLAS_NUM_THREADS'] != {expected!r})"
+        )
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        assert fresh_python(code, **env) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_cli_import_starts_no_blas_threads(self):
+        # the default is set before numpy loads, so OpenBLAS honours it
+        code = "import os, sys, epilink.cli; sys.exit(len(os.listdir('/proc/self/task')) != 1)"
+        assert fresh_python(code) == 0
+
+    def test_cli_import_loads_every_traced_module(self):
+        # bench/tracing.py patches these modules through sys.modules and
+        # rebinds cli.pac_sweep, so the CLI must keep importing them.
+        bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+        code = (
+            "import sys, epilink.cli\n"
+            f"sys.path.insert(0, {bench!r})\n"
+            "import tracing\n"
+            "from epilink import cli, decomposition\n"
+            "missing = {m for m, *_ in tracing.TRACED} - set(sys.modules)\n"
+            "sys.exit(bool(missing) or cli.pac_sweep is not decomposition.pac_sweep)"
+        )
+        assert fresh_python(code) == 0
 
 
 class TestSpecFilesAndExitCodes:
@@ -365,11 +431,32 @@ class TestUserErrorsExitTwo:
         ["eg", "--kind", "onemax-prime-blocks", "--block-sizes", "3,x"],
         ["weak-observability", "--runs", "3", "--blocks", "2,9", "--population", "10",
          "--generations", "1", "--population-sizes", "10"],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--delta", "nan", "--n-values", "4"],
+        ["pac-sweep", "--kind", "ctrap", "--m", "1", "--delta", "nan", "--n-values", "4"],
+        ["verify", "--kind", "onemax", "--l", "4", "--weak-order", "-1"],
+        ["eg", "--kind", "onemax", "--l", "4", "--epistasis-order-bound", "-2"],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ")
+
+    def test_weak_order_zero_is_valid(self, capsys):
+        assert run(capsys, "verify", "--kind", "onemax", "--l", "4", "--weak-order", "0")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("flag", ["--spec", "--output"])
+    def test_file_argument_is_a_directory(self, capsys, tmp_path, flag):
+        argv = ["--kind", "onemax", "--l", "4"] if flag == "--output" else []
+        code, out, err = run(capsys, "eg", *argv, flag, str(tmp_path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_spec_not_utf8(self, capsys, tmp_path):
+        spec = tmp_path / "latin1.json"
+        spec.write_bytes('{"kind": "onemax", "l": 4, "note": "\xe9"}'.encode("latin-1"))
+        code, out, err = run(capsys, "eg", "--spec", str(spec))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ") and "not UTF-8" in err
 
     def test_runs_zero_message(self, capsys):
         _, _, err = run(capsys, "weak-observability", "--runs", "0")
