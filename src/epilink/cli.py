@@ -13,7 +13,7 @@ from typing import Sequence
 
 # numpy's OpenBLAS starts a thread per CPU when it is imported, and no
 # command makes a BLAS call that gains from them (the only one, the block
-# sum of OneMaxPrimeConcat, is as fast on one thread).  This must run
+# sums of the block-sum kinds, is as fast on one thread).  This must run
 # before the package imports below load numpy; a value the user has set
 # wins, and forked GA workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -78,10 +78,10 @@ def _load_problem(args):
     return make_problem(spec)
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str, output: str | None, mode: str = "w"):
     if output:
         try:
-            with open(output, "w") as fh:
+            with open(output, mode) as fh:
                 fh.write(text)
         except OSError as exc:
             raise ProblemSpecError(str(exc)) from exc
@@ -376,6 +376,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _at_least(getattr(args, "seed", 0), 0, "seed")  # numpy seeds are non-negative
+        # refuse an unwritable --output before computing; appending truncates nothing
+        _emit("", args.output, mode="a")
         return args.func(args)
     except (ProblemSpecError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,45 +124,3 @@ def find_weak_epistases(
                 return found
     return found
 
-
-def is_stationary_deception(
-    problem, u: int, v: int, a: Assignment, cap: int = DEFAULT_CAP
-) -> bool:
-    """Whether ``a`` keeps the wrong allele at v optimal under every completion.
-
-    ``a`` must assign u its non-optimal allele and leave v unassigned; the
-    check enumerates every assignment R on the loci outside coverage(a)
-    and {v}.
-    """
-    g = global_optimum(problem, cap)
-    if a[u] != 1 - g[u]:
-        raise ValueError(f"assignment must set locus {u} to its non-optimal allele")
-    if v in a:
-        raise ValueError(f"locus {v} must be unassigned")
-    rest = set(range(problem.size)) - a.coverage - {v}
-    codes = optima_grid(problem, a, rest, cap).alleles([v])
-    return bool(((codes >> (1 - g[v])) & 1).all())
-
-
-def minimum_stationary_deception(
-    problem, u: int, v: int, cap: int = DEFAULT_CAP
-) -> Assignment:
-    """Smallest assignment (u set wrong, v free) deceiving v under every completion.
-
-    Ties at the minimum size resolve lexicographically on (sorted
-    coverage, allele pattern) for determinism.  Requires an order-1
-    epistasis from u to v; the search is doubly exponential, so only run
-    it at oracle scale.
-    """
-    if order1(problem, u, v, cap) is EpistasisKind.NONE:
-        raise ValueError(f"no order-1 epistasis from {u} to {v}")
-    g = global_optimum(problem, cap)
-    others = sorted(set(range(problem.size)) - {u, v})
-    for extra in range(len(others) + 1):
-        for more in itertools.combinations(others, extra):
-            base = Assignment(((u, 1 - g[u]),))
-            for pattern in itertools.product((0, 1), repeat=extra):
-                a = base | Assignment(zip(more, pattern))
-                if is_stationary_deception(problem, u, v, a, cap):
-                    return a
-    raise RuntimeError("unreachable: a nearly full deceiving assignment always exists")

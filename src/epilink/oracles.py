@@ -107,9 +107,10 @@ def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignme
     loses in every context.  After one OR-transform of the table,
     ``reach[x]`` (x: the loci set wrong) holds locus u's bit iff flipping
     u fails to lose at some y within x, so S survives iff ``reach`` at the
-    complement of S holds no bit of S.  One walk over the survivors, by
-    size and then descending packed mask (the lexicographic order), runs
-    the full test on each that holds a locus still without an answer.
+    complement of S holds no bit of S.  One walk over the survivors, one
+    size at a time and then by descending packed mask (the lexicographic
+    order), runs the full test on each that holds a locus still without an
+    answer, and stops once every locus has one.
     """
     table = _fitness_table(problem, cap)
     g = global_optimum(problem, cap)
@@ -129,13 +130,12 @@ def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignme
     caught = np.arange(2 ** size, dtype=place.dtype)  # m & reach[~m], per mask m
     caught &= reach.ravel()[::-1]
     del reach
-    survivors = np.flatnonzero(caught == 0)
-    sizes = ones.ravel()[survivors]
-    del caught, ones
+    survives, ones = caught == 0, ones.ravel()
+    del caught
     found: dict[int, Assignment] = {}
     left = 2 ** size - 1  # the loci still without an answer
-    for k in range(1, size + 1):
-        sized = survivors[sizes == k][::-1]
+    for k in range(1, size + 1):  # one popcount level at a time
+        sized = np.flatnonzero(survives & (ones == k))[::-1]
         for m in sized[(sized & left) != 0].tolist():
             if m & left:
                 a = Assignment.batch_pattern([u for u in range(size) if m & place[u]], g)

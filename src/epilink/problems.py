@@ -39,8 +39,9 @@ def niah4(b0: int, b1: int, b2: int, b3: int) -> int:
     return 4 if b0 + b1 + b2 + b3 == 4 else 0
 
 
-def _trap_many(u: np.ndarray) -> np.ndarray:
-    return np.where(u == 4, 4, 3 - u)
+#: trap4 and niah4 by the number of ones in the block.
+_TRAP = (3, 2, 1, 0, 4)
+_NIAH = (0, 0, 0, 0, 4)
 
 
 class FitnessProblem:
@@ -48,11 +49,12 @@ class FitnessProblem:
 
     Each kind states its fitness once, as ``raw_evaluate_many`` over rows
     of permuted chromosomes ``y`` (``y[i] = x[permutation[i]]``); the
-    identity permutation is the default.  The fitness never changes after
-    construction, but an instance is not immutable: it fills two
-    single-value caches lazily, with no locking — the global optimum
-    (``_g``) and the dense fitness table (``_table``, once a caller's work
-    pays for it).  Each worker process fills its own copy.
+    identity permutation is the default; ``_tabulate`` evaluates every row
+    for the dense table unless the kind derives it directly.  The fitness
+    never changes after construction, but an instance is not immutable: it
+    fills two single-value caches lazily, with no locking — the global
+    optimum (``_g``) and the dense fitness table (``_table``, once a
+    caller's work pays for it).  Each worker process fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -95,8 +97,12 @@ class FitnessProblem:
         """
         pays = work is None or work >= 2 ** self.size
         if self._table is None and pays and 8 << self.size <= _TABLE_BUDGET:
-            self._table = completion_fitness(self, EMPTY)
+            self._table = self._tabulate()
         return self._table
+
+    def _tabulate(self) -> np.ndarray:
+        """The table ``fitness_table`` caches: every chromosome's row evaluated."""
+        return completion_fitness(self, EMPTY)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} size={self.size}>"
@@ -118,79 +124,105 @@ class LeadingOnes(FitnessProblem):
         return FITNESS_SCALE * np.cumprod(ys, axis=1, dtype=np.int64).sum(axis=1)
 
 
-class _BlockProblem(FitnessProblem):
-    """Shared sizing logic for the 4-bit-block benchmarks (size = 4m)."""
+class _BlockSum(FitnessProblem):
+    """Sum over blocks (sequences of loci of ``y``) of a score of each
+    block's number of ones; ``scores[j][u]`` is block j's natural score at
+    u ones.
 
-    def __init__(self, kind: str, m: int, permutation=None, name: str | None = None):
+    Rows: one float32 product with a 0/1 (loci x blocks) indicator counts
+    each block's ones (exact for blocks of up to 2^24 loci), and one
+    ``take`` of the flat scaled scores, offset per block, scores them.
+    Table: each block's scores are broadcast onto its axes and summed, so
+    no row is evaluated.
+    """
+
+    def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
+                 scores: Sequence[Sequence[float]], permutation=None):
+        super().__init__(name, size, permutation)
+        self._blocks = [list(block) for block in blocks]
+        scaled = [FITNESS_SCALE * np.asarray(s) for s in scores]
+        self._scores = np.concatenate(scaled).astype(np.int64)
+        self._offsets = np.cumsum([0] + [len(s) for s in scaled[:-1]])
+        self._indicator = np.zeros((size, len(self._blocks)), dtype=np.float32)
+        for j, block in enumerate(self._blocks):
+            self._indicator[block, j] = 1
+
+    def raw_evaluate_many(self, ys):
+        index = (ys @ self._indicator).astype(np.intp)
+        index += self._offsets
+        # a product with ones sums these short rows faster than sum(axis=1)
+        return self._scores.take(index) @ np.ones(len(self._blocks), dtype=np.int64)
+
+    def _tabulate(self):
+        table = np.zeros((2,) * self.size, dtype=np.int64)
+        perm = self.permutation or range(self.size)
+        # the allele at locus v, as a tensor along the table's axis v
+        allele = [np.arange(2).reshape([2 if w == v else 1 for w in range(self.size)])
+                  for v in range(self.size)]
+        for block, offset in zip(self._blocks, self._offsets):
+            table += self._scores[offset + sum(allele[perm[i]] for i in block)]
+        return table.reshape(-1)
+
+
+class _Concatenated(_BlockSum):
+    """m disjoint blocks of 4 consecutive loci, each scored by ``score``."""
+
+    kind: str
+    score: tuple[int, ...]
+
+    def __init__(self, m: int, permutation=None, name: str | None = None):
         if m <= 0:
-            raise ProblemSpecError(f"{kind} needs at least one block, got m={m}")
+            raise ProblemSpecError(f"{self.kind} needs at least one block, got m={m}")
         self.m = m
-        super().__init__(name or f"{kind}-m{m}", 4 * m, permutation)
+        blocks = [range(4 * i, 4 * i + 4) for i in range(m)]
+        super().__init__(name or f"{self.kind}-m{m}", 4 * m, blocks, [self.score] * m,
+                         permutation)
 
 
-class CTrap(_BlockProblem):
+class CTrap(_Concatenated):
     """Concatenated 4-bit traps on disjoint blocks."""
 
-    def __init__(self, m: int, permutation=None, name=None):
-        super().__init__("ctrap", m, permutation, name)
-
-    def raw_evaluate_many(self, ys):
-        u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
-        return FITNESS_SCALE * _trap_many(u).sum(axis=1)
+    kind, score = "ctrap", _TRAP
 
 
-class CNiah(_BlockProblem):
+class CNiah(_Concatenated):
     """Concatenated needle-in-a-haystack blocks."""
 
-    def __init__(self, m: int, permutation=None, name=None):
-        super().__init__("cniah", m, permutation, name)
-
-    def raw_evaluate_many(self, ys):
-        u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
-        return FITNESS_SCALE * np.where(u == 4, 4, 0).sum(axis=1)
+    kind, score = "cniah", _NIAH
 
 
-class CycTrap(FitnessProblem):
+class CycTrap(_BlockSum):
     """Cyclically overlapping traps: block i reads loci 3i..3i+3 modulo the size."""
 
     def __init__(self, m: int, permutation=None, name: str | None = None):
         if m <= 1:
             raise ProblemSpecError(f"cyctrap needs m >= 2, got m={m}")
         self.m = m
-        super().__init__(name or f"cyctrap-m{m}", 3 * m, permutation)
-        self._block_cols = np.array(
-            [[(3 * i + j) % self.size for j in range(4)] for i in range(m)]
-        )
-
-    def raw_evaluate_many(self, ys):
-        u = ys[:, self._block_cols].sum(axis=2, dtype=np.int64)
-        return FITNESS_SCALE * _trap_many(u).sum(axis=1)
+        blocks = [[(3 * i + j) % (3 * m) for j in range(4)] for i in range(m)]
+        super().__init__(name or f"cyctrap-m{m}", 3 * m, blocks, [_TRAP] * m, permutation)
 
 
-class LeadingTraps(_BlockProblem):
+class LeadingTraps(FitnessProblem):
     """Traps gated left to right: block i counts only while every earlier trap is solved."""
 
-    def __init__(self, m: int, permutation=None, name=None):
-        super().__init__("leadingtraps", m, permutation, name)
+    def __init__(self, m: int, permutation=None, name: str | None = None):
+        if m <= 0:
+            raise ProblemSpecError(f"leadingtraps needs at least one block, got m={m}")
+        self.m = m
+        super().__init__(name or f"leadingtraps-m{m}", 4 * m, permutation)
 
     def raw_evaluate_many(self, ys):
-        u = ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64)
-        t = _trap_many(u)
-        solved = (t == 4).astype(np.int64)
-        gate = np.cumprod(
-            np.concatenate([np.ones((len(ys), 1), dtype=np.int64), solved[:, :-1]], axis=1),
-            axis=1,
-        )
-        return FITNESS_SCALE * (gate * t).sum(axis=1)
+        t = np.take(_TRAP, ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64))
+        solved_before = np.cumprod(t[:, :-1] == 4, axis=1)  # every earlier trap solved
+        return FITNESS_SCALE * (t[:, 0] + (solved_before * t[:, 1:]).sum(axis=1))
 
 
-class OneMaxPrimeConcat(FitnessProblem):
+class OneMaxPrimeConcat(_BlockSum):
     """Sum of modified-OneMax blocks over consecutive loci.
 
     Each block scores its number of ones, except the all-zeros pattern
     which scores 1.5 (the source of weak epistasis of order block-size
-    minus one).  The block sums are one float32 product with a 0/1
-    (loci x blocks) indicator, exact for blocks of up to 2^24 loci.
+    minus one).
     """
 
     def __init__(self, block_sizes: Sequence[int], permutation=None, name: str | None = None):
@@ -198,14 +230,14 @@ class OneMaxPrimeConcat(FitnessProblem):
         if not sizes or any(b < 2 for b in sizes):
             raise ProblemSpecError(f"block sizes must all be >= 2, got {sizes}")
         self.block_sizes = sizes
-        self._blocks = np.repeat(np.eye(len(sizes), dtype=np.float32), sizes, axis=0)
+        ends = np.cumsum(sizes).tolist()
         super().__init__(
-            name or "onemax-prime-" + "x".join(str(b) for b in sizes), sum(sizes), permutation
+            name or "onemax-prime-" + "x".join(str(b) for b in sizes),
+            sum(sizes),
+            [range(end - b, end) for b, end in zip(sizes, ends)],
+            [(1.5, *range(1, b + 1)) for b in sizes],
+            permutation,
         )
-
-    def raw_evaluate_many(self, ys):
-        s = (ys @ self._blocks).astype(np.int64)
-        return np.where(s == 0, 3, FITNESS_SCALE * s).sum(axis=1)
 
 
 class LookupTable(FitnessProblem):
@@ -265,6 +297,11 @@ class LookupTable(FitnessProblem):
     def raw_evaluate_many(self, ys):
         weights = 1 << np.arange(self.size - 1, -1, -1, dtype=np.int64)
         return self.values[ys.astype(np.int64) @ weights]
+
+    def _tabulate(self):
+        # axis i of ``values`` is y's locus i, which reads locus permutation[i]
+        inverse = np.argsort(self.permutation or range(self.size))
+        return self.values.reshape((2,) * self.size).transpose(inverse).reshape(-1)
 
 
 class ProblemSpecError(ValueError):

@@ -451,6 +451,15 @@ class TestUserErrorsExitTwo:
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ") and "Is a directory" in err
 
+    def test_output_refused_before_computing(self, capsys, tmp_path):
+        computed = AssertionError("the GA ran before --output was checked")
+        with patch.object(gasim, "initial_observability", side_effect=computed), \
+                patch.object(gasim, "generational_observability", side_effect=computed):
+            code, out, err = run(capsys, "weak-observability", "--runs", "3",
+                                 "--output", str(tmp_path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_spec_not_utf8(self, capsys, tmp_path):
         spec = tmp_path / "latin1.json"
         spec.write_bytes('{"kind": "onemax", "l": 4, "note": "\xe9"}'.encode("latin-1"))

@@ -1,4 +1,4 @@
-"""Epistasis detection, the weak-epistasis audit, and stationary deception."""
+"""Epistasis detection and the weak-epistasis audit."""
 
 import itertools
 
@@ -96,62 +96,6 @@ class TestWeakAudit:
             (frozenset({0, 2}), 1),
             (frozenset({1, 2}), 0),
         }
-
-
-class TestStationaryDeception:
-    def test_trap_block_deception(self, ctrap4):
-        a = Assignment(((0, 0), (1, 0), (2, 0)))
-        assert ep.is_stationary_deception(ctrap4, 0, 3, a)
-
-    def test_nearly_full_constrained_optimum_deceives(self, ctrap8):
-        # a constrained optimum under (0, 0), minus locus 3, deceives 3
-        g = global_optimum(ctrap8)
-        from epilink.model import constrained_optima
-
-        opt = constrained_optima(ctrap8, Assignment(((0, 1 - g[0]),)))
-        member = opt.chromosomes[0]
-        assert member[3] == 1 - g[3]
-        a = Assignment((v, member[v]) for v in range(8) if v != 3)
-        assert ep.is_stationary_deception(ctrap8, 0, 3, a)
-
-    def test_precondition_wrong_allele(self, ctrap4):
-        with pytest.raises(ValueError):
-            ep.is_stationary_deception(ctrap4, 0, 3, Assignment(((0, 1),)))
-
-    def test_precondition_target_assigned(self, ctrap4):
-        with pytest.raises(ValueError):
-            ep.is_stationary_deception(
-                ctrap4, 0, 3, Assignment(((0, 0), (3, 0)))
-            )
-
-    def test_onemax_never_deceived(self, onemax4):
-        assert not ep.is_stationary_deception(
-            onemax4, 0, 3, Assignment(((0, 0),))
-        )
-
-
-class TestMinimumStationaryDeception:
-    def test_trap_single_zero_suffices(self, ctrap4):
-        # the deceptive gradient makes one wrong allele enough
-        msd = ep.minimum_stationary_deception(ctrap4, 0, 1)
-        assert msd == Assignment(((0, 0),))
-
-    def test_coverage_is_epistatic(self, ctrap4):
-        for v in (1, 2, 3):
-            msd = ep.minimum_stationary_deception(ctrap4, 0, v)
-            assert ep.epistatic(ctrap4, msd.coverage, v)
-
-    def test_coverage_bounded_by_max_order(self, ctrap4):
-        from epilink.graph import max_epistasis_order
-
-        k_e = max_epistasis_order(ctrap4, 3)
-        for v in (1, 2, 3):
-            msd = ep.minimum_stationary_deception(ctrap4, 0, v)
-            assert len(msd) <= k_e
-
-    def test_requires_order1_epistasis(self, onemax4):
-        with pytest.raises(ValueError):
-            ep.minimum_stationary_deception(onemax4, 0, 1)
 
 
 class TestProp4AndProp7:

@@ -2,10 +2,9 @@
 
 Each reference below walks every assignment in lexicographic order and asks
 ``psi_at`` once per pattern, the way witness search, the weak-epistasis
-audit, the blanket check and the stationary-deception check used to.  The
-tables are random half-integer lookup tables of up to 6 loci, often with
-few distinct values (so optima tie), and with one lifted entry (so the
-global optimum is unique).
+audit and the blanket check used to.  The tables are random half-integer
+lookup tables of up to 6 loci, often with few distinct values (so optima
+tie), and with one lifted entry (so the global optimum is unique).
 """
 
 import itertools
@@ -156,36 +155,3 @@ class TestBlanketAgainstLoop:
                 assert got == blanket_by_loop(problem, {v})
                 statuses.add(got[0][1])
         assert statuses == {"pass", "fail"}
-
-
-def deceives_by_definition(problem, v, a):
-    """Whether, for every assignment of the loci outside a and v, the wrong
-    allele at v is at least as fit as the right one."""
-    g = global_optimum(problem)
-    rest = [w for w in range(problem.size) if w not in a and w != v]
-    for pattern in itertools.product((0, 1), repeat=len(rest)):
-        context = {**dict(a.items()), **dict(zip(rest, pattern))}
-
-        def fit(allele):
-            full = {**context, v: allele}
-            return problem.evaluate(tuple(full[w] for w in range(problem.size)))
-
-        if fit(1 - g[v]) < fit(g[v]):
-            return False
-    return True
-
-
-class TestStationaryDeceptionAgainstDefinition:
-    @settings(max_examples=80, deadline=None)
-    @given(problem=lookup_tables(), data=st.data())
-    def test_matches_definition(self, problem, data):
-        u, v = data.draw(st.lists(st.integers(0, problem.size - 1), min_size=2, max_size=2,
-                                  unique=True))
-        g = global_optimum(problem)
-        others = [w for w in range(problem.size) if w not in (u, v)]
-        extra = data.draw(st.lists(st.sampled_from(others), unique=True) if others
-                          else st.just([]))
-        alleles = data.draw(st.lists(st.integers(0, 1), min_size=len(extra), max_size=len(extra)))
-        a = Assignment([(u, 1 - g[u]), *zip(extra, alleles)])
-        assert ep.is_stationary_deception(problem, u, v, a) == deceives_by_definition(problem, v, a)
-

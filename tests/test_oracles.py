@@ -1,6 +1,7 @@
 """Brute-force theorem oracles and EBACC scoring."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -185,6 +186,22 @@ class TestMinimumStationaryOptimumSearch:
         with pytest.raises(EnumerationCapError):
             minimum_stationary_optima(problem, cap)
         assert rows == []
+
+    def test_walk_holds_no_survivor_list(self):
+        # every subset of OneMax survives the prefilter, yet the walk ends
+        # after the singletons: the call's peak stays under two tables,
+        # one of them the transposed copy of each full test
+        problem = OneMax(20)
+        table = problem.fitness_table()
+        global_optimum(problem)
+        tracemalloc.start()
+        try:
+            found = minimum_stationary_optima(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == tuple(Assignment(((v, 1),)) for v in range(20))
+        assert peak < 2 * table.nbytes
 
 
 class TestDecompositionTheorem:

@@ -1,11 +1,22 @@
 """Benchmark fitness functions, permutation wrapping, and spec parsing."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink.model import bits_from_str, bit_rows, global_optimum, pack_bits, unpack_bits
+from epilink import model, problems
+from epilink.model import (
+    EMPTY,
+    bit_rows,
+    bits_from_str,
+    completion_fitness,
+    global_optimum,
+    pack_bits,
+    unpack_bits,
+)
 from epilink.problems import (
     FITNESS_SCALE,
     CNiah,
@@ -274,6 +285,72 @@ class TestPermutation:
     def test_bad_permutation(self):
         with pytest.raises(ProblemSpecError):
             OneMax(4, permutation=(0, 1, 1, 3))
+
+
+@st.composite
+def tabulated_kinds(draw, max_size=12):
+    """A block-sum problem or a lookup table of at most ``max_size`` loci,
+    with its scalar formula of y and, sometimes, a random permutation."""
+    kind = draw(st.sampled_from(["ctrap", "cniah", "cyctrap", "onemax-prime", "lookup"]))
+    if kind == "onemax-prime":  # unequal blocks
+        sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=max_size // 2)
+                     .filter(lambda sizes: sum(sizes) <= max_size))
+        build, formula = (lambda perm: OneMaxPrimeConcat(sizes, perm)), onemax_prime_ref(sizes)
+    elif kind == "lookup":
+        size = draw(st.integers(1, min(max_size, 10)))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = (rng.integers(0, 10, size=2 ** size) / 2).tolist()
+        build, formula = (lambda perm: LookupTable(values, perm)), lookup_ref(values)
+    else:  # ctrap m=1 and cyctrap m=2 (wrapped, overlapping blocks) included
+        cls, formula, least, width = {
+            "ctrap": (CTrap, ctrap_ref, 1, 4),
+            "cniah": (CNiah, cniah_ref, 1, 4),
+            "cyctrap": (CycTrap, cyctrap_ref, 2, 3),
+        }[kind]
+        m = draw(st.integers(least, max_size // width))
+        build = lambda perm: cls(m, perm)
+    size = build(None).size
+    return build(draw(st.none() | st.permutations(range(size)))), formula
+
+
+def permuted(problem, xs):
+    """The rows ``y`` that the chromosome rows ``xs`` of ``problem`` read."""
+    return xs[:, list(problem.permutation)] if problem.permutation else xs
+
+
+class TestDerivedFitness:
+    """The block-sum kinds and lookup tables derive their dense table and,
+    for the block sums, their rows from one statement of the fitness; both
+    against the plain references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=tabulated_kinds())
+    def test_table_is_every_row(self, case):
+        problem, _ = case
+        table = problem.fitness_table()
+        assert table.dtype == np.int64
+        assert np.array_equal(table, completion_fitness(problem, EMPTY))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=tabulated_kinds(max_size=40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_the_scalar_formula(self, case, seed):
+        problem, formula = case
+        xs = np.random.default_rng(seed).integers(0, 2, size=(16, problem.size), dtype=np.uint8)
+        assert problem.evaluate_many(xs).tolist() == [
+            FITNESS_SCALE * formula(y) for y in permuted(problem, xs).tolist()
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=tabulated_kinds())
+    def test_streamed_rows_above_the_budget(self, case):
+        problem, formula = case
+        with patch.object(problems, "_TABLE_BUDGET", 8 << 2), \
+                patch.object(model, "_STREAM_BITS", 2):
+            assert problem.size <= 2 or problem.fitness_table() is None
+            streamed = completion_fitness(problem, EMPTY)
+        assert streamed.tolist() == [
+            FITNESS_SCALE * formula(y) for y in permuted(problem, every_row(problem.size)).tolist()
+        ]
 
 
 class TestLookupTable:
