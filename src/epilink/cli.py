@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -183,6 +182,8 @@ def cmd_verify(args) -> int:
     unknown = set(wanted) - {"decomposition", "blanket", "clique"}
     if unknown:
         raise ProblemSpecError(f"unknown theorems: {sorted(unknown)}")
+    if not wanted:
+        raise ProblemSpecError("--theorems names no theorem")
     eg = graph.build_eg(problem, args.cap)
     # One weak-epistasis audit serves every report that rests on it.
     weak = None
@@ -213,17 +214,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _pac_threshold(k: int, size: int, delta: float):
-    """Sufficient population size from the failure-probability bound, or a
-    symbolic string when the constant factor is astronomically large."""
-    exponent = k * k + k ** 3
-    factor_log = f"(ln {size} + ln {1 / delta:g})"
-    if exponent > 40:
-        return None, f"2^{exponent} * {factor_log}"
-    n = math.ceil(2 ** exponent * (math.log(size) + math.log(1 / delta)))
-    return n, f"2^{exponent} * {factor_log} = {n}"
-
-
 def cmd_pac_sweep(args) -> int:
     problem = _load_problem(args)
     if not 0 < args.delta < 1:  # also rejects NaN
@@ -231,7 +221,7 @@ def cmd_pac_sweep(args) -> int:
     _at_least(args.runs, 1, "runs")
     G = graph.build_eg(problem, args.cap)
     k = graph.decomposition_difficulty(G)
-    threshold, threshold_text = _pac_threshold(k, problem.size, args.delta)
+    threshold, threshold_text = decomposition.pac_threshold(k, problem.size, args.delta)
     if args.n_values:
         n_values = [_at_least(n, 1, "population size") for n in _int_list(args.n_values)]
     elif threshold is not None:
@@ -310,45 +300,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def problem_options(p):
         p.add_argument("--spec", help="problem spec file (JSON)")
         p.add_argument("--kind", help="inline problem kind instead of --spec")
         p.add_argument("--l", type=int, help="problem size for inline specs")
         p.add_argument("--m", type=int, help="block count for inline specs")
         p.add_argument("--block-sizes", help="comma list for onemax-prime-blocks")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         p.add_argument("--output", help="write to file instead of stdout")
 
+    def seed_option(p):
+        p.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("eg", help="extract the epistatic graph")
-    common(p)
+    problem_options(p)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--epistasis-order-bound", type=int, default=0,
                    help="also scan for the max epistasis order up to this bound")
     p.set_defaults(func=cmd_eg)
 
     p = sub.add_parser("decompose", help="condense, partition, and run partial enumeration")
-    common(p)
+    problem_options(p)
+    seed_option(p)
     p.add_argument("--fixture-partition", action="store_true",
                    help="use the hard-coded cyclic-trap partition")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("ipe", help="run iterative partial enumeration")
-    common(p)
+    problem_options(p)
+    seed_option(p)
     p.add_argument("--n", type=int, required=True, help="population size")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--subset-order", choices=["lex", "random"], default="lex")
     p.set_defaults(func=cmd_ipe)
 
     p = sub.add_parser("verify", help="run brute-force theorem oracles")
-    common(p)
+    problem_options(p)
     p.add_argument("--theorems", default="decomposition,blanket,clique")
     p.add_argument("--weak-order", type=int, default=4,
                    help="bounded weak-epistasis audit order")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pac-sweep", help="IPE success-rate sweep over population sizes")
-    common(p)
+    problem_options(p)
+    seed_option(p)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--n-values", help="comma list of population sizes to sweep")
     p.add_argument("--runs", type=int, default=100)
@@ -356,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-observability",
                        help="weak-epistasis observability experiment (25-bit problem)")
-    common(p)
+    seed_option(p)
+    p.add_argument("--output", help="write to file instead of stdout")
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--blocks", help="comma list of block orders to keep")
     p.add_argument("--population-sizes", default="10,20,50,100,200,500,1000")

@@ -4,6 +4,7 @@ iterative partial enumeration solver, with exact evaluation accounting."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -280,3 +281,14 @@ def pac_sweep(problem, n_values, runs, seed, cap=DEFAULT_CAP) -> list[PacSweepRo
             PacSweepRow(n, runs, success / runs, wrong / runs, failed / runs, evals / runs)
         )
     return rows
+
+
+def pac_threshold(k: int, size: int, delta: float):
+    """Sufficient population size from the failure-probability bound, or a
+    symbolic string when the constant factor is astronomically large."""
+    exponent = k * k + k ** 3
+    factor_log = f"(ln {size} + ln {1 / delta:g})"
+    if exponent > 40:
+        return None, f"2^{exponent} * {factor_log}"
+    n = math.ceil(2 ** exponent * (math.log(size) + math.log(1 / delta)))
+    return n, f"2^{exponent} * {factor_log} = {n}"

@@ -104,12 +104,6 @@ class ComponentGraph:
     components: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]  # indices into components
 
-    def component_of(self, v: int) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise KeyError(v)
-
 
 def _tarjan_scc(size: int, successors) -> list[list[int]]:
     """Iterative Tarjan; components come out in reverse topological order."""

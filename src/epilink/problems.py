@@ -280,20 +280,6 @@ class LookupTable(FitnessProblem):
             values[pack_bits(bits)] = value
         return cls(values, **kwargs)
 
-    @classmethod
-    def from_problem(cls, problem: FitnessProblem, **kwargs) -> "LookupTable":
-        """Freeze any small problem into its dense table (round-trip helper)."""
-        table = problem.fitness_table(2 ** problem.size)
-        if table is None:
-            raise ProblemSpecError(
-                f"problem size {problem.size} too large to tabulate"
-            )
-        return cls(
-            table / FITNESS_SCALE,
-            kwargs.get("permutation"),
-            kwargs.get("name") or f"{problem.name}-table",
-        )
-
     def raw_evaluate_many(self, ys):
         weights = 1 << np.arange(self.size - 1, -1, -1, dtype=np.int64)
         return self.values[ys.astype(np.int64) @ weights]
@@ -333,17 +319,17 @@ def fork_problem() -> LookupTable:
     )
 
 
-def _size(kind: str, spec: Mapping) -> int:
+def _size(kind: str, spec: dict) -> int:
     if "l" in spec:
-        return int(spec["l"])
+        return int(spec.pop("l"))
     if "size" in spec:
-        return int(spec["size"])
+        return int(spec.pop("size"))
     raise ProblemSpecError(f"{kind} spec needs 'l' (problem size)")
 
 
-def _block_count(kind: str, spec: Mapping, block: int) -> int:
+def _block_count(kind: str, spec: dict, block: int) -> int:
     if "m" in spec:
-        return int(spec["m"])
+        return int(spec.pop("m"))
     if "l" in spec or "size" in spec:
         size = _size(kind, spec)
         if size % block != 0:
@@ -355,34 +341,32 @@ def _block_count(kind: str, spec: Mapping, block: int) -> int:
 
 
 def _sized(cls):
-    return lambda kind, spec: cls(_size(kind, spec), spec.get("permutation"), spec.get("name"))
+    return lambda kind, spec, perm, name: cls(_size(kind, spec), perm, name)
 
 
 def _blocks_of(cls, block: int):
-    return lambda kind, spec: cls(
-        _block_count(kind, spec, block), spec.get("permutation"), spec.get("name")
-    )
+    return lambda kind, spec, perm, name: cls(_block_count(kind, spec, block), perm, name)
 
 
-def _onemax_prime_blocks(kind: str, spec: Mapping) -> OneMaxPrimeConcat:
+def _onemax_prime_blocks(kind: str, spec: dict, perm, name) -> OneMaxPrimeConcat:
     if "block_sizes" not in spec:
         raise ProblemSpecError("onemax-prime-blocks spec needs 'block_sizes'")
-    return OneMaxPrimeConcat(spec["block_sizes"], spec.get("permutation"), spec.get("name"))
+    return OneMaxPrimeConcat(spec.pop("block_sizes"), perm, name)
 
 
-def _lookup_table(kind: str, spec: Mapping) -> LookupTable:
-    perm, name = spec.get("permutation"), spec.get("name")
+def _lookup_table(kind: str, spec: dict, perm, name) -> LookupTable:
     if "table" in spec:
-        return LookupTable(spec["table"], perm, name)
+        return LookupTable(spec.pop("table"), perm, name)
     if "pairs" in spec:
         return LookupTable.from_pairs(
-            _size(kind, spec), spec["pairs"], spec.get("default", 0),
+            _size(kind, spec), spec.pop("pairs"), spec.pop("default", 0),
             permutation=perm, name=name,
         )
     raise ProblemSpecError("lookup-table spec needs 'table' or 'pairs'")
 
 
-#: Problem kind -> builder from (kind, spec), in ``list-problems`` order.
+#: Problem kind -> builder from (kind, spec, permutation, name), in ``list-problems``
+#: order; a builder pops the spec fields it reads.
 KINDS = {
     "onemax": _sized(OneMax),
     "leadingones": _sized(LeadingOnes),
@@ -401,15 +385,23 @@ def make_problem(spec: Mapping) -> FitnessProblem:
     Fields: ``kind`` (a key of ``KINDS``; case and ``_``/``-`` are free)
     plus ``l``/``size`` or ``m`` (or ``block_sizes`` for
     onemax-prime-blocks, ``table``/``pairs`` for lookup-table), and an
-    optional explicit ``permutation`` sequence.
+    optional explicit ``permutation`` sequence and ``name``.  A field the
+    kind does not read is refused.
     """
     try:
-        if "kind" not in spec:
-            raise ProblemSpecError("spec is missing the 'kind' field")
-        kind = str(spec["kind"]).lower().replace("_", "-")
+        if not isinstance(spec, Mapping) or "kind" not in spec:
+            raise ProblemSpecError("spec is not a mapping with a 'kind' field")
+        fields = dict(spec)
+        kind = str(fields.pop("kind")).lower().replace("_", "-")
         if kind not in KINDS:
             raise ProblemSpecError(f"unknown problem kind {kind!r}")
-        return KINDS[kind](kind, spec)
+        perm, name = fields.pop("permutation", None), fields.pop("name", None)
+        problem = KINDS[kind](kind, fields, perm, name)
+        if fields:
+            raise ProblemSpecError(
+                f"{kind} spec has fields it does not read: {', '.join(map(repr, fields))}"
+            )
+        return problem
     except (TypeError, ValueError) as exc:  # a spec or spec field of the wrong type
         raise ProblemSpecError(str(exc)) from exc
 

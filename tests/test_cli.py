@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from epilink.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
 
@@ -435,11 +437,29 @@ class TestUserErrorsExitTwo:
         ["pac-sweep", "--kind", "ctrap", "--m", "1", "--delta", "nan", "--n-values", "4"],
         ["verify", "--kind", "onemax", "--l", "4", "--weak-order", "-1"],
         ["eg", "--kind", "onemax", "--l", "4", "--epistasis-order-bound", "-2"],
+        ["eg", "--kind", "ctrap", "--m", "2", "--l", "12"],
+        ["eg", "--kind", "ctrap", "--m", "2", "--block-sizes", "4,4"],
+        ["verify", "--kind", "onemax", "--l", "4", "--theorems", ","],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["eg", "--kind", "onemax", "--l", "4", "--seed", "1"],
+        ["verify", "--kind", "onemax", "--l", "4", "--seed", "1"],
+        *(["weak-observability", "--runs", "1", flag, value] for flag, value in (
+            ("--spec", "p.json"), ("--kind", "ctrap"), ("--l", "4"), ("--m", "1"),
+            ("--block-sizes", "3,4"), ("--cap", "4"),
+        )),
+    ])
+    def test_undeclared_option_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (EXIT_PARSE, "")
+        assert "unrecognized arguments" in out.err
 
     def test_weak_order_zero_is_valid(self, capsys):
         assert run(capsys, "verify", "--kind", "onemax", "--l", "4", "--weak-order", "0")[0] == EXIT_OK
@@ -493,12 +513,14 @@ class TestUserErrorsExitTwo:
         {"kind": "ctrap", "m": None},
         {"kind": "onemax", "l": 4, "permutation": 5},
         5,
+        {"kind": "onemax", "l": 4, "permuation": [3, 2, 1, 0]},
+        {"kind": "lookup-table", "table": [0, 1], "pairs": {"1": 2}},
     ])
     def test_bad_spec_fields(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        code, _, err = run(capsys, "eg", "--spec", str(path))
-        assert code == EXIT_PARSE
+        code, out, err = run(capsys, "eg", "--spec", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ")
 
     def test_internal_value_error_is_not_a_parse_error(self, capsys, monkeypatch):
@@ -510,3 +532,59 @@ class TestUserErrorsExitTwo:
         monkeypatch.setattr(graph, "build_eg", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["eg", "--kind", "ctrap", "--m", "1"])
+
+
+def declared_options():
+    """Each subcommand's settable option destinations, in declaration order."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a.dest for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+class TestOptionsAreRead:
+    """Every option a subcommand declares is read when it runs."""
+
+    def test_declared_option_count(self):
+        assert {name: len(dests) for name, dests in declared_options().items()} == {
+            "eg": 9, "decompose": 9, "ipe": 11, "verify": 9, "pac-sweep": 11,
+            "weak-observability": 7, "list-problems": 1,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["eg", "--kind", "onemax", "--l", "4", "--epistasis-order-bound", "1"],
+        ["decompose", "--kind", "onemax", "--l", "4"],
+        ["ipe", "--kind", "onemax", "--l", "4", "--n", "4"],
+        ["verify", "--kind", "onemax", "--l", "4", "--weak-order", "1"],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "4", "--runs", "2"],
+        ["weak-observability", "--runs", "2", "--blocks", "2", "--population-sizes", "10",
+         "--population", "10", "--generations", "1"],
+        ["list-problems"],
+    ], ids=lambda argv: argv[0])
+    def test_every_declared_option_is_read(self, capsys, argv):
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parse = argparse.ArgumentParser.parse_args
+
+        def parse_into_recorder(parser, args=None, namespace=None):
+            parsed = parse(parser, args, Recorder())
+            command = parsed.func
+
+            def counted(args):
+                # argparse reads every default, and main's own checks read
+                # the seed and output: only the command's reads count
+                reads.clear()
+                return command(args)
+
+            parsed.func = counted
+            return parsed
+
+        with patch.object(argparse.ArgumentParser, "parse_args", parse_into_recorder):
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        unread = set(declared_options()[argv[0]]) - reads
+        assert not unread, f"{argv[0]} never reads {sorted(unread)}"

@@ -443,3 +443,12 @@ class TestTraceTopologicalCheck:
             ]
         )
         assert not trace_topological_check(bad, G)
+
+
+class TestPacThreshold:
+    def test_feasible_bound(self):
+        # k = 1: 2^2 * (ln 8 + ln 10) = 17.5
+        assert decomposition.pac_threshold(1, 8, 0.1) == (18, "2^2 * (ln 8 + ln 10) = 18")
+
+    def test_infeasible_bound_is_symbolic(self):
+        assert decomposition.pac_threshold(4, 8, 0.1) == (None, "2^80 * (ln 8 + ln 10)")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epilink.graph import (
-    ComponentGraph,
     EpistaticGraph,
     build_eg,
     condense,
@@ -145,19 +144,13 @@ class TestCondense:
         cg = condense(build_eg(leadingtraps8))
         blocks = {frozenset(range(4)), frozenset(range(4, 8))}
         assert set(cg.components) == blocks
-        i = cg.component_of(0)
-        j = cg.component_of(4)
-        assert cg.edges == frozenset({(i, j)})
+        index = {v: c for c, comp in enumerate(cg.components) for v in comp}
+        assert cg.edges == frozenset({(index[0], index[4])})
 
     def test_onemax_singletons(self):
         cg = condense(build_eg(OneMax(4)))
         assert set(cg.components) == {frozenset({v}) for v in range(4)}
         assert cg.edges == frozenset()
-
-    def test_component_of_unknown(self):
-        cg = ComponentGraph((frozenset({0}),), frozenset())
-        with pytest.raises(KeyError):
-            cg.component_of(7)
 
     def test_acyclic_and_partition(self, cyctrap12):
         G = build_eg(cyctrap12)

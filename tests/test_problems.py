@@ -392,7 +392,7 @@ class TestLookupTable:
         ids=lambda p: p.name,
     )
     def test_round_trip_from_problem(self, problem):
-        frozen = LookupTable.from_problem(problem)
+        frozen = LookupTable(problem.fitness_table() / FITNESS_SCALE)
         for i in range(2 ** problem.size):
             c = unpack_bits(i, problem.size)
             assert frozen.evaluate(c) == problem.evaluate(c)
@@ -440,6 +440,27 @@ class TestMakeProblem:
     def test_cyctrap_needs_two_blocks(self):
         with pytest.raises(ProblemSpecError):
             make_problem({"kind": "cyctrap", "m": 1})
+
+    @pytest.mark.parametrize("spec, unread", [
+        ({"kind": "onemax", "l": 4, "permuation": [3, 2, 1, 0]}, "'permuation'"),
+        ({"kind": "ctrap", "m": 2, "l": 12}, "'l'"),
+        ({"kind": "ctrap", "m": 2, "block_sizes": [4, 4]}, "'block_sizes'"),
+        ({"kind": "lookup-table", "table": [0, 1], "pairs": {"1": 2}}, "'pairs'"),
+        ({"kind": "lookup-table", "table": [0, 1], "default": 3}, "'default'"),
+        ({"kind": "onemax", "l": 4, "size": 4}, "'size'"),
+    ])
+    def test_unread_field_refused(self, spec, unread):
+        with pytest.raises(ProblemSpecError, match=f"does not read: {unread}$"):
+            make_problem(spec)
+
+    def test_spec_is_not_consumed(self):
+        spec = {"kind": "ctrap", "m": 2, "name": "t"}
+        make_problem(spec)
+        assert spec == {"kind": "ctrap", "m": 2, "name": "t"}
+
+    def test_pairs_list_is_not_a_spec(self):
+        with pytest.raises(ProblemSpecError, match="not a mapping"):
+            make_problem([["kind", "onemax"], ["l", 4]])
 
 
 class TestScaling:
