@@ -57,6 +57,8 @@ def _at_least(value: int, minimum: int, what: str) -> int:
 
 def _load_problem(args):
     if args.spec:
+        if any(x is not None for x in (args.kind, args.l, args.m, args.block_sizes)):
+            raise ProblemSpecError("pass --spec or --kind/--l/--m/--block-sizes, not both")
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 spec = json.load(fh)
@@ -100,8 +102,7 @@ def cmd_eg(args) -> int:
     problem = _load_problem(args)
     _at_least(args.epistasis_order_bound, 0, "epistasis order bound")
     G = graph.build_eg(problem, args.cap)
-    cg = graph.condense(G)
-    k_scc = max((len(c) for c in cg.components), default=0)
+    k_scc = max(map(len, graph.components(G)), default=0)
     summary = {
         "problem": problem.name,
         "size": problem.size,

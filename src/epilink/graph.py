@@ -1,8 +1,8 @@
-"""Epistatic graphs, SCC condensation, and topological partitions."""
+"""Epistatic graphs, their strongly connected components (SCCs), and
+topological partitions."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -35,15 +35,8 @@ class EpistaticGraph:
     def _predecessors(self) -> dict[int, frozenset[int]]:
         return {v: frozenset(u for u, w in self.edge_pairs if w == v) for v in range(self.size)}
 
-    @cached_property
-    def _successors(self) -> dict[int, frozenset[int]]:
-        return {u: frozenset(w for x, w in self.edge_pairs if x == u) for u in range(self.size)}
-
     def predecessors(self, v: int) -> frozenset[int]:
         return self._predecessors.get(v, frozenset())
-
-    def successors(self, u: int) -> frozenset[int]:
-        return self._successors.get(u, frozenset())
 
     def in_degree(self, v: int) -> int:
         return len(self.predecessors(v))
@@ -97,109 +90,36 @@ def in_closure(G: EpistaticGraph, v: int) -> frozenset[int]:
     return frozenset(closure)
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
-    """SCC condensation of an epistatic graph: always a DAG."""
-
-    components: tuple[frozenset[int], ...]
-    edges: frozenset[tuple[int, int]]  # indices into components
-
-
-def _tarjan_scc(size: int, successors) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = itertools.count()
-
-    for root in range(size):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(successors(root))))]
-        index[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = lowlink[child] = next(counter)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(successors(child)))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
-    return components
-
-
-def condense(G: EpistaticGraph) -> ComponentGraph:
-    """Contract every SCC to a vertex and deduplicate the induced edges."""
-    raw = _tarjan_scc(G.size, G.successors)
-    components = tuple(frozenset(c) for c in raw)
-    comp_of = {}
-    for i, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = i
-    edges = frozenset(
-        (comp_of[u], comp_of[v])
-        for u, v in G.edge_pairs
-        if comp_of[u] != comp_of[v]
-    )
-    return ComponentGraph(components, edges)
+def components(G: EpistaticGraph) -> tuple[frozenset[int], ...]:
+    """The SCCs, listed by smallest locus: v's component is the set of u in
+    v's in-closure whose own in-closure holds v."""
+    closures = [in_closure(G, v) for v in range(G.size)]
+    return tuple(dict.fromkeys(
+        frozenset(u for u in closures[v] if v in closures[u]) for v in range(G.size)
+    ))
 
 
 def topological_partition(G: EpistaticGraph) -> tuple[frozenset[int], ...]:
     """Ordered partition of the loci: SCC blocks in a topological order.
 
-    Among simultaneously ready components, the one containing the
-    smallest locus comes first, which makes the output deterministic.
+    Each step places the component with the smallest locus among those
+    whose direct in-neighbors are all placed or inside it, which makes
+    the output deterministic.
     """
-    cg = condense(G)
-    n = len(cg.components)
-    indeg = [0] * n
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in cg.edges:
-        succ[a].add(b)
-        indeg[b] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    order: list[int] = []
-    while ready:
-        ready.sort(key=lambda i: min(cg.components[i]))
-        i = ready.pop(0)
-        order.append(i)
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    if len(order) != n:
-        raise RuntimeError("condensation produced a cycle; SCC computation is broken")
-    return tuple(cg.components[i] for i in order)
+    left = list(components(G))
+    placed: frozenset[int] = frozenset()
+    order = []
+    while left:
+        block = next(c for c in left if in_set(G, c) <= placed | c)
+        left.remove(block)
+        placed |= block
+        order.append(block)
+    return tuple(order)
 
 
 def decomposition_difficulty(G: EpistaticGraph) -> int:
     """max(largest SCC size, largest in-degree + 1)."""
-    cg = condense(G)
-    k_scc = max((len(c) for c in cg.components), default=0)
+    k_scc = max(map(len, components(G)), default=0)
     return max(k_scc, G.max_in_degree() + 1)
 
 

@@ -18,7 +18,6 @@ from .model import (
     bits_to_str,
     global_optimum,
     optima_grid,
-    pack_bits,
     unpack_bits,
 )
 from .problems import _TABLE_BUDGET
@@ -86,16 +85,14 @@ def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> boo
     coverage under every completion of the remaining loci (full scan)."""
     if len(a) == 0:
         raise ValueError("a stationary optimum must be a nonempty assignment")
-    table = _fitness_table(problem, cap)
-    assigned = sorted(a.coverage)
-    free = [v for v in range(problem.size) if v not in a]
-    # rows: completions of the free loci; columns: patterns on the coverage
-    fits = np.transpose(table.reshape((2,) * problem.size), free + assigned)
-    fits = fits.reshape(2 ** len(free), 2 ** len(assigned))
-    candidate = fits[:, [pack_bits(a[v] for v in assigned)]]
-    # the candidate beats every rival in every row iff it is the only
-    # entry of each row at or above its own value
-    return np.count_nonzero(fits >= candidate) == len(fits)
+    fits = _fitness_table(problem, cap).reshape((2,) * problem.size)
+    # the candidate's fitness per completion of the free loci, a strided
+    # view broadcast back over the assigned axes
+    candidate = fits[tuple(a[v] if v in a else slice(None) for v in range(problem.size))]
+    candidate = np.expand_dims(candidate, sorted(a.coverage))
+    # it beats every rival under every completion iff it is the only
+    # entry of each completion at or above its own value
+    return np.count_nonzero(fits >= candidate) == candidate.size
 
 
 def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignment, ...]:
@@ -255,8 +252,8 @@ def verify_clique_structure(
             f"graph has non-strict edges, e.g. {nonstrict[:4]}",
         )
         return report
-    cg = _graph.condense(G)
-    for comp in cg.components:
+    comps = _graph.components(G)
+    for comp in comps:
         if len(comp) < 2:
             continue
         missing = [
@@ -270,9 +267,9 @@ def verify_clique_structure(
             not missing,
             f"missing edges {missing[:4]}" if missing else "",
         )
-    k_scc = max((len(c) for c in cg.components), default=0)
+    k_scc = max(map(len, comps), default=0)
     k_in = G.max_in_degree()
-    if any(len(c) >= 2 for c in cg.components):
+    if k_scc >= 2:
         report.add(
             "max SCC size == max in-degree + 1",
             k_scc == k_in + 1,

@@ -440,8 +440,13 @@ class TestUserErrorsExitTwo:
         ["eg", "--kind", "ctrap", "--m", "2", "--l", "12"],
         ["eg", "--kind", "ctrap", "--m", "2", "--block-sizes", "4,4"],
         ["verify", "--kind", "onemax", "--l", "4", "--theorems", ","],
+        ["eg", "--spec", "ctrap-m1.json", "--kind", "onemax", "--l", "8"],
+        ["eg", "--spec", "ctrap-m1.json", "--m", "2"],
+        ["eg", "--spec", "ctrap-m1.json", "--block-sizes", "3,4"],
     ])
-    def test_bad_arguments(self, capsys, argv):
+    def test_bad_arguments(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a valid spec for the cases that pass one
+        (tmp_path / "ctrap-m1.json").write_text(json.dumps({"kind": "ctrap", "m": 1}))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ")

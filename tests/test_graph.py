@@ -1,4 +1,5 @@
-"""Epistatic graphs, condensation, partitions, and difficulty measures."""
+"""Epistatic graphs, strongly connected components, partitions, and
+difficulty measures."""
 
 import itertools
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from epilink.graph import (
     EpistaticGraph,
     build_eg,
-    condense,
+    components,
     cyctrap_reference_partition,
     decomposition_difficulty,
     in_closure,
@@ -73,7 +74,6 @@ class TestGraphQueries:
     def test_degree_and_neighbors(self, ctrap8):
         G = build_eg(ctrap8)
         assert G.predecessors(5) == frozenset({4, 6, 7})
-        assert G.successors(5) == frozenset({4, 6, 7})
         assert G.in_degree(5) == 3
         assert G.max_in_degree() == 3
         assert G.has_edge(4, 5) and not G.has_edge(0, 5)
@@ -134,37 +134,73 @@ class TestInSets:
         assert in_closure(G, v) == frozenset(seen)
 
 
-class TestCondense:
-    def test_ctrap_two_components_no_edges(self, ctrap8):
-        cg = condense(build_eg(ctrap8))
-        assert set(cg.components) == {frozenset(range(4)), frozenset(range(4, 8))}
-        assert cg.edges == frozenset()
+class TestComponents:
+    def test_ctrap_two_components(self, ctrap8):
+        assert components(build_eg(ctrap8)) == (frozenset(range(4)), frozenset(range(4, 8)))
 
     def test_leadingtraps_ordered_components(self, leadingtraps8):
-        cg = condense(build_eg(leadingtraps8))
-        blocks = {frozenset(range(4)), frozenset(range(4, 8))}
-        assert set(cg.components) == blocks
-        index = {v: c for c, comp in enumerate(cg.components) for v in comp}
-        assert cg.edges == frozenset({(index[0], index[4])})
+        # 0 -> 4 joins the blocks one way only; listed by smallest locus
+        G = build_eg(leadingtraps8)
+        assert G.has_edge(0, 4) and not G.has_edge(4, 0)
+        assert components(G) == (frozenset(range(4)), frozenset(range(4, 8)))
 
     def test_onemax_singletons(self):
-        cg = condense(build_eg(OneMax(4)))
-        assert set(cg.components) == {frozenset({v}) for v in range(4)}
-        assert cg.edges == frozenset()
+        assert components(build_eg(OneMax(4))) == tuple(frozenset({v}) for v in range(4))
 
-    def test_acyclic_and_partition(self, cyctrap12):
-        G = build_eg(cyctrap12)
-        cg = condense(G)
-        flat = sorted(v for c in cg.components for v in c)
+    def test_cyctrap_partition(self, cyctrap12):
+        flat = sorted(v for c in components(build_eg(cyctrap12)) for v in c)
         assert flat == list(range(12))
-        # DAG check: repeatedly strip sinks
-        remaining = set(range(len(cg.components)))
-        live = set(cg.edges)
-        while remaining:
-            sinks = {i for i in remaining if not any(a == i for a, _ in live)}
-            assert sinks, "condensation contains a cycle"
-            remaining -= sinks
-            live = {(a, b) for a, b in live if a not in sinks and b not in sinks}
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs of 1-10 vertices with strict and non-strict edges."""
+    size = draw(st.integers(1, 10))
+    pairs = list(itertools.permutations(range(size), 2))
+    kinds = draw(st.lists(st.sampled_from([None, "strict", "nonstrict"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    return EpistaticGraph(size, frozenset(
+        (u, v, kind) for (u, v), kind in zip(pairs, kinds) if kind
+    ))
+
+
+def brute_components(G):
+    """Mutual reachability from a Floyd-Warshall transitive closure."""
+    n = G.size
+    reach = [[u == v or G.has_edge(u, v) for v in range(n)] for u in range(n)]
+    for w, u, v in itertools.product(range(n), repeat=3):
+        reach[u][v] = reach[u][v] or (reach[u][w] and reach[w][v])
+    return {frozenset(u for u in range(n) if reach[u][v] and reach[v][u]) for v in range(n)}
+
+
+def kahn_partition(G, comps):
+    """Kahn's sort of the components, the smallest-locus ready one first."""
+    comp_of = {v: c for c in comps for v in c}
+    succ = {c: {comp_of[v] for u in c for v in range(G.size)
+                if G.has_edge(u, v) and comp_of[v] != c} for c in comps}
+    indeg = {c: sum(c in succ[b] for b in comps) for c in comps}
+    ready = [c for c in comps if indeg[c] == 0]
+    order = []
+    while ready:
+        ready.sort(key=min)
+        c = ready.pop(0)
+        order.append(c)
+        for b in succ[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+    return tuple(order)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def test_components_partition_and_difficulty(self, G):
+        comps = brute_components(G)
+        assert components(G) == tuple(sorted(comps, key=min))
+        assert topological_partition(G) == kahn_partition(G, comps)
+        in_degree = max(sum(G.has_edge(u, v) for u in range(G.size)) for v in range(G.size))
+        assert decomposition_difficulty(G) == max(max(map(len, comps)), in_degree + 1)
 
 
 class TestTopologicalPartition:

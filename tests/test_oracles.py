@@ -52,6 +52,19 @@ class TestIsStationaryOptimum:
         with pytest.raises(EnumerationCapError):
             is_stationary_optimum(p, Assignment(((0, 1),)), cap=2 ** 8)
 
+    def test_singleton_reads_a_view(self):
+        # the candidate is a strided view of the table, not a copy of it:
+        # the peak is the one-byte-per-entry comparison
+        problem = OneMax(20)
+        problem.fitness_table()
+        tracemalloc.start()
+        try:
+            assert is_stationary_optimum(problem, Assignment(((7, 1),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
 
 class TestMinimumStationaryOptimum:
     def test_onemax_singleton(self):
@@ -189,8 +202,7 @@ class TestMinimumStationaryOptimumSearch:
 
     def test_walk_holds_no_survivor_list(self):
         # every subset of OneMax survives the prefilter, yet the walk ends
-        # after the singletons: the call's peak stays under two tables,
-        # one of them the transposed copy of each full test
+        # after the singletons: the call's peak stays under two tables
         problem = OneMax(20)
         table = problem.fitness_table()
         global_optimum(problem)
@@ -271,6 +283,11 @@ class TestCliqueStructure:
         report = verify_clique_structure(cniah8)
         assert not report.applicable
         assert "non-strict" in report.claims[0].detail
+
+    def test_claims_by_smallest_locus(self):
+        report = verify_clique_structure(CycTrap(5))
+        cliques = [c.name for c in report.claims if "clique" in c.name]
+        assert cliques == [f"SCC {[v, v + 1]} is a bidirectional clique" for v in (1, 4, 7, 10, 13)]
 
     def test_onemax_vacuous(self, onemax8):
         report = verify_clique_structure(onemax8)
