@@ -56,6 +56,7 @@ def _at_least(value: int, minimum: int, what: str) -> int:
 
 
 def _load_problem(args):
+    _at_least(args.cap, 1, "cap")
     if args.spec:
         if any(x is not None for x in (args.kind, args.l, args.m, args.block_sizes)):
             raise ProblemSpecError("pass --spec or --kind/--l/--m/--block-sizes, not both")
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also scan for the max epistasis order up to this bound")
     p.set_defaults(func=cmd_eg)
 
-    p = sub.add_parser("decompose", help="condense, partition, and run partial enumeration")
+    p = sub.add_parser("decompose",
+                       help="partition the SCCs topologically and run partial enumeration")
     problem_options(p)
     seed_option(p)
     p.add_argument("--fixture-partition", action="store_true",

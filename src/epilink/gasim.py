@@ -6,8 +6,7 @@ Runs evolve in blocks: a (runs, population, loci) uint8 stack of at most
 generation step with one fitness call for the whole stack, and applies
 uniform crossover in place with XOR.  Each run still draws from its own
 seeded generator, in the order a lone run would, so every result depends
-only on the seed, never on the block size.  ``run_ga`` is a stack of one
-run.
+only on the seed, never on the block size.
 
 ``generational_observability`` spreads its blocks over forked worker
 processes, one per CPU this process may run on: each worker evolves a
@@ -120,18 +119,6 @@ def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.nd
     second ^= d
     children ^= flips
     return children
-
-
-def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarray]:
-    """One seeded run; returns per-generation population snapshots
-    (index 0 is the uniform random initial population)."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    pops = rng.integers(0, 2, size=(1, config.population_size, problem.size), dtype=np.uint8)
-    snapshots = [pops[0]]
-    for _ in range(config.generations):
-        pops = _next_generation(problem, pops, [rng], config)
-        snapshots.append(pops[0])
-    return snapshots
 
 
 def _witness_counts(pops: np.ndarray, targets: Sequence[ObservabilityTarget]) -> np.ndarray:
@@ -315,13 +302,6 @@ def generational_observability(
                 )
             )
     return out
-
-
-def closed_form_initial(order: int, population_size: int) -> float:
-    """Exact probability that an all-zeros witness of (order+1) loci appears
-    at least once among n uniform random chromosomes."""
-    b = order + 1
-    return 1.0 - (1.0 - 0.5 ** b) ** population_size
 
 
 def block_targets(block_sizes: Sequence[int]) -> list[ObservabilityTarget]:

@@ -15,7 +15,6 @@ from .model import (
     DEFAULT_CAP,
     Assignment,
     EnumerationCapError,
-    bits_to_str,
     global_optimum,
     optima_grid,
     unpack_bits,
@@ -288,10 +287,6 @@ class EbaccScore:
     specificity: Fraction
     ebacc: Fraction
 
-    @property
-    def epsilon_equivalent(self) -> Fraction:
-        return 1 - self.ebacc
-
 
 def ebacc(hypothesis: Callable[[tuple[int, ...]], bool], problem, cap: int = DEFAULT_CAP) -> EbaccScore:
     """Score a predicate over the full search space.
@@ -315,21 +310,10 @@ def ebacc(hypothesis: Callable[[tuple[int, ...]], bool], problem, cap: int = DEF
 
 
 def indicator_ebacc(c: Sequence[int], problem, cap: int = DEFAULT_CAP) -> EbaccScore:
-    """``ebacc`` of ``hypothesis_from_chromosome(c)`` in closed form: the
-    indicator accepts only c, so it finds the optimum iff c is the optimum,
+    """``ebacc`` of the indicator hypothesis of ``c`` in closed form: it
+    accepts only c, so it finds the optimum iff c is the optimum,
     and otherwise accepts one of the 2^size - 1 non-optima."""
     if tuple(c) == global_optimum(problem, cap):  # refuses 2^size > cap
         return EbaccScore(1, Fraction(1), Fraction(1))
     spec = Fraction(2 ** problem.size - 2, 2 ** problem.size - 1)
     return EbaccScore(0, spec, spec / 2)
-
-
-def hypothesis_from_chromosome(c: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
-    """Indicator hypothesis: accept exactly the given chromosome."""
-    target = tuple(c)
-
-    def h(bits: tuple[int, ...]) -> bool:
-        return tuple(bits) == target
-
-    h.__name__ = f"is_{bits_to_str(target)}"
-    return h

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EMPTY, bits_from_str, completion_fitness, pack_bits
+from .model import bits_from_str, pack_bits
 
 FITNESS_SCALE = 2
 
@@ -47,14 +47,15 @@ _NIAH = (0, 0, 0, 0, 4)
 class FitnessProblem:
     """Pure, deterministic chromosome -> fitness contract.
 
-    Each kind states its fitness once, as ``raw_evaluate_many`` over rows
-    of permuted chromosomes ``y`` (``y[i] = x[permutation[i]]``); the
-    identity permutation is the default; ``_tabulate`` evaluates every row
-    for the dense table unless the kind derives it directly.  The fitness
-    never changes after construction, but an instance is not immutable: it
-    fills two single-value caches lazily, with no locking — the global
-    optimum (``_g``) and the dense fitness table (``_table``, once a
-    caller's work pays for it).  Each worker process fills its own copy.
+    Each kind states its fitness once, over permuted chromosomes ``y``
+    (``y[i] = x[permutation[i]]``; the identity permutation is the
+    default), and derives from that both ``raw_evaluate_many``, its rows,
+    and ``_tabulate``, its dense table; no table is built by evaluating
+    rows.  The fitness never changes after construction, but an instance
+    is not immutable: it fills two single-value caches lazily, with no
+    locking — the global optimum (``_g``) and the dense fitness table
+    (``_table``, once a caller's work pays for it).  Each worker process
+    fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -101,39 +102,26 @@ class FitnessProblem:
         return self._table
 
     def _tabulate(self) -> np.ndarray:
-        """The table ``fitness_table`` caches: every chromosome's row evaluated."""
-        return completion_fitness(self, EMPTY)
+        """The int64 table ``fitness_table`` caches, indexed by chromosome."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} size={self.size}>"
 
 
-class OneMax(FitnessProblem):
-    def __init__(self, size: int, permutation=None, name: str | None = None):
-        super().__init__(name or f"onemax-{size}", size, permutation)
-
-    def raw_evaluate_many(self, ys):
-        return FITNESS_SCALE * ys.sum(axis=1, dtype=np.int64)
-
-
-class LeadingOnes(FitnessProblem):
-    def __init__(self, size: int, permutation=None, name: str | None = None):
-        super().__init__(name or f"leadingones-{size}", size, permutation)
-
-    def raw_evaluate_many(self, ys):
-        return FITNESS_SCALE * np.cumprod(ys, axis=1, dtype=np.int64).sum(axis=1)
-
-
 class _BlockSum(FitnessProblem):
     """Sum over blocks (sequences of loci of ``y``) of a score of each
     block's number of ones; ``scores[j][u]`` is block j's natural score at
-    u ones.
+    u ones, and no score is negative.
 
     Rows: one float32 product with a 0/1 (loci x blocks) indicator counts
     each block's ones (exact for blocks of up to 2^24 loci), and one
     ``take`` of the flat scaled scores, offset per block, scores them.
     Table: each block's scores are broadcast onto its axes and summed, so
-    no row is evaluated.
+    no row is evaluated.  The table is filled in ``_dtype``, the smallest
+    integer type that holds the sum of the blocks' highest scores and so
+    every value of a plain or gated sum, which adds faster than int64; it
+    is int64 once filled.
     """
 
     def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
@@ -143,6 +131,7 @@ class _BlockSum(FitnessProblem):
         scaled = [FITNESS_SCALE * np.asarray(s) for s in scores]
         self._scores = np.concatenate(scaled).astype(np.int64)
         self._offsets = np.cumsum([0] + [len(s) for s in scaled[:-1]])
+        self._dtype = np.min_scalar_type(np.maximum.reduceat(self._scores, self._offsets).sum())
         self._indicator = np.zeros((size, len(self._blocks)), dtype=np.float32)
         for j, block in enumerate(self._blocks):
             self._indicator[block, j] = 1
@@ -153,15 +142,73 @@ class _BlockSum(FitnessProblem):
         # a product with ones sums these short rows faster than sum(axis=1)
         return self._scores.take(index) @ np.ones(len(self._blocks), dtype=np.int64)
 
-    def _tabulate(self):
-        table = np.zeros((2,) * self.size, dtype=np.int64)
-        perm = self.permutation or range(self.size)
+    def _block_tensors(self):
+        """Each block's number of ones (uint8) and scaled score (``_dtype``),
+        as tensors broadcast over the table axes its loci read."""
+        axes = range(self.size)
+        perm = self.permutation or axes
         # the allele at locus v, as a tensor along the table's axis v
-        allele = [np.arange(2).reshape([2 if w == v else 1 for w in range(self.size)])
-                  for v in range(self.size)]
+        allele = [np.arange(2, dtype=np.uint8).reshape([2 if w == v else 1 for w in axes])
+                  for v in axes]
+        scores = self._scores.astype(self._dtype)
         for block, offset in zip(self._blocks, self._offsets):
-            table += self._scores[offset + sum(allele[perm[i]] for i in block)]
-        return table.reshape(-1)
+            ones = sum(allele[perm[i]] for i in block)
+            yield ones, scores[offset:offset + len(block) + 1][ones]
+
+    def _tabulate(self):
+        table = np.zeros((2,) * self.size, dtype=self._dtype)
+        for _, score in self._block_tensors():
+            table += score
+        return table.astype(np.int64).reshape(-1)
+
+
+class _Leading(_BlockSum):
+    """A block sum gated left to right: block i counts only while every
+    earlier block is all ones.
+
+    Rows: a row's fitness is the top scores of the blocks before its first
+    block that is not all ones, plus that block's own score.  Table: by
+    Horner's rule from the last block, ``T_i = s_i + [block i all ones] *
+    T_(i+1)``, in place on one accumulator.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sizes = self._indicator.sum(axis=0)
+        tops = self._scores[self._offsets + [len(block) for block in self._blocks]]
+        self._before = np.cumsum(tops) - tops  # the top scores of the earlier blocks
+
+    def raw_evaluate_many(self, ys):
+        ones = ys @ self._indicator
+        full = ones == self._sizes
+        full[:, -1] = False  # the last block scores its own ones, whether all or not
+        first = full.argmin(axis=1)
+        index = ones[np.arange(len(ys)), first].astype(np.intp)
+        index += self._offsets[first]
+        return self._before[first] + self._scores[index]
+
+    def _tabulate(self):
+        table = np.zeros((2,) * self.size, dtype=self._dtype)
+        for (ones, score), block in reversed(list(zip(self._block_tensors(), self._blocks))):
+            table *= ones == len(block)
+            table += score
+        return table.astype(np.int64).reshape(-1)
+
+
+class OneMax(_BlockSum):
+    """One block of every locus, scored by its number of ones."""
+
+    def __init__(self, size: int, permutation=None, name: str | None = None):
+        super().__init__(name or f"onemax-{size}", size, [range(size)], [range(size + 1)],
+                         permutation)
+
+
+class LeadingOnes(_Leading):
+    """One-locus blocks scored (0, 1), gated: the number of leading ones."""
+
+    def __init__(self, size: int, permutation=None, name: str | None = None):
+        super().__init__(name or f"leadingones-{size}", size, [[i] for i in range(size)],
+                         [(0, 1)] * size, permutation)
 
 
 class _Concatenated(_BlockSum):
@@ -202,19 +249,10 @@ class CycTrap(_BlockSum):
         super().__init__(name or f"cyctrap-m{m}", 3 * m, blocks, [_TRAP] * m, permutation)
 
 
-class LeadingTraps(FitnessProblem):
+class LeadingTraps(_Leading, _Concatenated):
     """Traps gated left to right: block i counts only while every earlier trap is solved."""
 
-    def __init__(self, m: int, permutation=None, name: str | None = None):
-        if m <= 0:
-            raise ProblemSpecError(f"leadingtraps needs at least one block, got m={m}")
-        self.m = m
-        super().__init__(name or f"leadingtraps-m{m}", 4 * m, permutation)
-
-    def raw_evaluate_many(self, ys):
-        t = np.take(_TRAP, ys.reshape(len(ys), self.m, 4).sum(axis=2, dtype=np.int64))
-        solved_before = np.cumprod(t[:, :-1] == 4, axis=1)  # every earlier trap solved
-        return FITNESS_SCALE * (t[:, 0] + (solved_before * t[:, 1:]).sum(axis=1))
+    kind, score = "leadingtraps", _TRAP
 
 
 class OneMaxPrimeConcat(_BlockSum):
@@ -292,31 +330,6 @@ class LookupTable(FitnessProblem):
 
 class ProblemSpecError(ValueError):
     """Malformed problem specification."""
-
-
-def weak_pair_problem() -> LookupTable:
-    """3-bit lookup problem carrying a weak order-2 epistasis onto locus 2.
-
-    The pair {0,1} is epistatic to 2 (witness: locus 0 at 0, locus 1 at 1)
-    while neither singleton is.
-    """
-    return LookupTable.from_pairs(
-        3,
-        {"111": 10, "001": 9, "101": 8, "010": 7, "011": 6},
-        name="weak-pair-3bit",
-    )
-
-
-def fork_problem() -> LookupTable:
-    """3-bit lookup problem where locus 0 is strictly epistatic to loci 1 and 2.
-
-    Both (0,1,2) and (0,2,1) are proper decomposition orders.
-    """
-    return LookupTable.from_pairs(
-        3,
-        {"111": 10, "110": 9, "101": 9, "100": 8, "000": 7, "010": 6, "001": 6},
-        name="fork-3bit",
-    )
 
 
 def _size(kind: str, spec: dict) -> int:

@@ -12,9 +12,8 @@ from epilink.problems import (
     CycTrap,
     LeadingOnes,
     LeadingTraps,
+    LookupTable,
     OneMax,
-    fork_problem,
-    weak_pair_problem,
 )
 
 
@@ -60,9 +59,26 @@ def leadingtraps8():
 
 @pytest.fixture(scope="session")
 def weak_pair():
-    return weak_pair_problem()
+    """3-bit lookup problem carrying a weak order-2 epistasis onto locus 2.
+
+    The pair {0,1} is epistatic to 2 (witness: locus 0 at 0, locus 1 at 1)
+    while neither singleton is.
+    """
+    return LookupTable.from_pairs(
+        3,
+        {"111": 10, "001": 9, "101": 8, "010": 7, "011": 6},
+        name="weak-pair-3bit",
+    )
 
 
 @pytest.fixture(scope="session")
 def fork():
-    return fork_problem()
+    """3-bit lookup problem where locus 0 is strictly epistatic to loci 1 and 2.
+
+    Both (0,1,2) and (0,2,1) are proper decomposition orders.
+    """
+    return LookupTable.from_pairs(
+        3,
+        {"111": 10, "110": 9, "101": 9, "100": 8, "000": 7, "010": 6, "001": 6},
+        name="fork-3bit",
+    )

@@ -443,6 +443,9 @@ class TestUserErrorsExitTwo:
         ["eg", "--spec", "ctrap-m1.json", "--kind", "onemax", "--l", "8"],
         ["eg", "--spec", "ctrap-m1.json", "--m", "2"],
         ["eg", "--spec", "ctrap-m1.json", "--block-sizes", "3,4"],
+        ["eg", "--kind", "ctrap", "--m", "2", "--cap", "-5"],
+        ["eg", "--kind", "ctrap", "--m", "2", "--cap", "0"],
+        ["decompose", "--spec", "ctrap-m1.json", "--cap", "0"],
     ])
     def test_bad_arguments(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)  # a valid spec for the cases that pass one

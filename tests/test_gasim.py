@@ -14,13 +14,29 @@ from epilink.gasim import (
     GaConfig,
     ObservabilityTarget,
     block_targets,
-    closed_form_initial,
     generational_observability,
     initial_observability,
-    run_ga,
     _next_generation,
 )
 from epilink.problems import OneMax, OneMaxPrimeConcat, weak_observability_problem
+
+
+def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarray]:
+    """One seeded run, a stack of one run; returns per-generation population
+    snapshots (index 0 is the uniform random initial population)."""
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    pops = rng.integers(0, 2, size=(1, config.population_size, problem.size), dtype=np.uint8)
+    snapshots = [pops[0]]
+    for _ in range(config.generations):
+        pops = _next_generation(problem, pops, [rng], config)
+        snapshots.append(pops[0])
+    return snapshots
+
+
+def closed_form_initial(order: int, population_size: int) -> float:
+    """Exact probability that an all-zeros witness of (order+1) loci appears
+    at least once among n uniform random chromosomes."""
+    return 1.0 - (1.0 - 0.5 ** (order + 1)) ** population_size
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Benchmark fitness functions, permutation wrapping, and spec parsing."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -22,6 +23,7 @@ from epilink.problems import (
     CNiah,
     CTrap,
     CycTrap,
+    FitnessProblem,
     LeadingOnes,
     LeadingTraps,
     LookupTable,
@@ -289,9 +291,10 @@ class TestPermutation:
 
 @st.composite
 def tabulated_kinds(draw, max_size=12):
-    """A block-sum problem or a lookup table of at most ``max_size`` loci,
-    with its scalar formula of y and, sometimes, a random permutation."""
-    kind = draw(st.sampled_from(["ctrap", "cniah", "cyctrap", "onemax-prime", "lookup"]))
+    """A problem of any built-in kind of at most ``max_size`` loci, with its
+    scalar formula of y and, sometimes, a random permutation."""
+    kind = draw(st.sampled_from(["onemax", "leadingones", "ctrap", "cniah", "cyctrap",
+                                 "leadingtraps", "onemax-prime", "lookup"]))
     if kind == "onemax-prime":  # unequal blocks
         sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=max_size // 2)
                      .filter(lambda sizes: sum(sizes) <= max_size))
@@ -301,13 +304,16 @@ def tabulated_kinds(draw, max_size=12):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         values = (rng.integers(0, 10, size=2 ** size) / 2).tolist()
         build, formula = (lambda perm: LookupTable(values, perm)), lookup_ref(values)
-    else:  # ctrap m=1 and cyctrap m=2 (wrapped, overlapping blocks) included
+    else:  # one locus or block, and cyctrap m=2 (wrapped, overlapping blocks), included
         cls, formula, least, width = {
+            "onemax": (OneMax, onemax_ref, 1, 1),
+            "leadingones": (LeadingOnes, leadingones_ref, 1, 1),
             "ctrap": (CTrap, ctrap_ref, 1, 4),
             "cniah": (CNiah, cniah_ref, 1, 4),
             "cyctrap": (CycTrap, cyctrap_ref, 2, 3),
+            "leadingtraps": (LeadingTraps, leadingtraps_ref, 1, 4),
         }[kind]
-        m = draw(st.integers(least, max_size // width))
+        m = draw(st.integers(least, max_size // width))  # loci, or blocks of ``width``
         build = lambda perm: cls(m, perm)
     size = build(None).size
     return build(draw(st.none() | st.permutations(range(size)))), formula
@@ -319,9 +325,9 @@ def permuted(problem, xs):
 
 
 class TestDerivedFitness:
-    """The block-sum kinds and lookup tables derive their dense table and,
-    for the block sums, their rows from one statement of the fitness; both
-    against the plain references."""
+    """Every kind derives its dense table and, but for lookup tables, its
+    rows from one statement of the fitness; both against the plain
+    references."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=tabulated_kinds())
@@ -351,6 +357,32 @@ class TestDerivedFitness:
         assert streamed.tolist() == [
             FITNESS_SCALE * formula(y) for y in permuted(problem, every_row(problem.size)).tolist()
         ]
+
+
+class TestTableEvaluatesNoRow:
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["identity", "permuted"])
+    @pytest.mark.parametrize("kind", FORMULAS)
+    def test_table_with_rows_refused(self, kind, shuffle):
+        build, formula = FORMULAS[kind]
+        size = build(None).size
+        problem = build(np.random.default_rng(size).permutation(size).tolist() if shuffle else None)
+        refuse = AssertionError("the table evaluated a row")
+        with patch.object(FitnessProblem, "evaluate_many", side_effect=refuse):
+            table = problem.fitness_table()
+        assert table.tolist() == [
+            FITNESS_SCALE * formula(y) for y in permuted(problem, every_row(size)).tolist()
+        ]
+
+    @pytest.mark.parametrize("cls", [OneMax, LeadingOnes])
+    def test_table_peak_below_one_and_a_half_tables(self, cls):
+        problem = cls(20)
+        tracemalloc.start()
+        try:
+            table = problem.fitness_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table.nbytes
 
 
 class TestLookupTable:
