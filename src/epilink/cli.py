@@ -224,7 +224,7 @@ def cmd_pac_sweep(args) -> int:
     G = graph.build_eg(problem, args.cap)
     k = graph.decomposition_difficulty(G)
     threshold, threshold_text = decomposition.pac_threshold(k, problem.size, args.delta)
-    if args.n_values:
+    if args.n_values is not None:
         n_values = [_at_least(n, 1, "population size") for n in _int_list(args.n_values)]
     elif threshold is not None:
         n_values = [threshold]
@@ -255,7 +255,7 @@ def cmd_weak_observability(args) -> int:
     _at_least(args.population, 1, "population")
     _at_least(args.generations, 0, "generations")
     all_targets = gasim.block_targets(problem.block_sizes)
-    if args.blocks:
+    if args.blocks is not None:
         wanted = _int_list(args.blocks)
         orders = [t.order for t in all_targets]
         unknown = [w for w in wanted if w not in orders]

@@ -1,18 +1,19 @@
 """Minimal generational GA used to measure how often a weak epistasis is
 observable in the population (witness pattern present).
 
-Runs evolve in blocks: a (runs, population, loci) uint8 stack of at most
-``_BLOCK_ALLELES`` alleles, and at least one run, takes one vectorised
-generation step with one fitness call for the whole stack, and applies
-uniform crossover in place with XOR.  Each run still draws from its own
-seeded generator, in the order a lone run would, so every result depends
-only on the seed, never on the block size.
+Both sweeps run through one block loop, ``_run_hits``: the
+fresh-population sweep is its generation 0.  Runs evolve in blocks: a
+(runs, population, loci) uint8 stack of at most ``_BLOCK_ALLELES``
+alleles, and at least one run, takes one vectorised generation step with
+one fitness call for the whole stack, and applies uniform crossover in
+place with XOR.  Each run draws in the order a lone run would, so every
+result depends only on the seed, never on the block size.
 
 ``generational_observability`` spreads its blocks over forked worker
 processes, one per CPU this process may run on: each worker evolves a
 contiguous share of whole blocks, and the witness counts are summed, so
 the points do not depend on the number of workers.  With one CPU, one
-block or no ``fork`` the same block loop runs in process.
+block or no ``fork`` there is one share, evolved without forking.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,6 +152,40 @@ class ObservabilityPoint:
     stderr: float
 
 
+def _points(targets, n: int, hits: np.ndarray, runs: int) -> list[ObservabilityPoint]:
+    """Points of (targets, generations + 1) witness counts over ``runs`` runs
+    of population ``n``, target by target, then generation by generation."""
+    out = []
+    for t, row in zip(targets, hits.tolist()):
+        for gen, hit in enumerate(row):
+            p = hit / runs
+            out.append(ObservabilityPoint(t.order, n, gen, p, runs, math.sqrt(p * (1 - p) / runs)))
+    return out
+
+
+def _run_hits(problem, targets, config: GaConfig | None, n: int, generations: int,
+              rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """(targets, generations + 1) witness counts of one run per generator in
+    ``rngs``, evolved block by block; a generator listed more than once
+    serves those runs one after another.  ``rngs`` is read a block at a
+    time, so a lazy one makes each generator only when its block starts.
+    ``config`` only feeds ``_next_generation``, unused at 0 generations.
+    """
+    hits = np.zeros((len(targets), generations + 1), dtype=np.int64)
+    width = problem.size
+    step = _block_runs(n, width)
+    rngs = iter(rngs)
+    while block := list(islice(rngs, step)):
+        # one call per run: a uint8 draw discards its unused random bytes
+        # at the end of each call, so one merged call would differ
+        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in block])
+        for gen in range(generations + 1):
+            hits[:, gen] += _witness_counts(pops, targets)
+            if gen < generations:
+                pops = _next_generation(problem, pops, block, config)
+    return hits
+
+
 def initial_observability(
     problem,
     targets: Sequence[ObservabilityTarget],
@@ -158,49 +194,18 @@ def initial_observability(
     seed: int,
 ) -> list[ObservabilityPoint]:
     """Probability the witness pattern appears in a fresh random population,
-    swept over population sizes (no GA dynamics involved)."""
+    swept over population sizes (no GA dynamics involved).
+
+    Each size is generation 0 of ``runs`` runs of the GA's block loop, all
+    drawing one after another from the one generator seeded by ``seed``.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     rng = np.random.default_rng(seed)
     out = []
     for n in population_sizes:
-        hits = np.zeros(len(targets), dtype=np.int64)
-        step = _block_runs(n, problem.size)
-        for start in range(0, runs, step):
-            # one call per run: a uint8 draw discards its unused random bytes
-            # at the end of each call, so one merged call would differ
-            pops = np.stack([
-                rng.integers(0, 2, size=(n, problem.size), dtype=np.uint8)
-                for _ in range(min(step, runs - start))
-            ])
-            hits += _witness_counts(pops, targets)
-        for t, hit in zip(targets, hits.tolist()):
-            p = hit / runs
-            out.append(
-                ObservabilityPoint(
-                    t.order, n, 0, p, runs, math.sqrt(p * (1 - p) / runs)
-                )
-            )
+        out += _points(targets, n, _run_hits(problem, targets, None, n, 0, repeat(rng, runs)), runs)
     return out
-
-
-def _run_hits(
-    problem,
-    targets: Sequence[ObservabilityTarget],
-    config: GaConfig,
-    seeds: np.ndarray,
-) -> np.ndarray:
-    """(targets, generations + 1) witness counts of the runs seeded by
-    ``seeds``, evolved block by block."""
-    hits = np.zeros((len(targets), config.generations + 1), dtype=np.int64)
-    n, width = config.population_size, problem.size
-    step = _block_runs(n, width)
-    for start in range(0, len(seeds), step):
-        rngs = [np.random.default_rng(s) for s in seeds[start:start + step]]
-        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in rngs])
-        for gen in range(config.generations + 1):
-            hits[:, gen] += _witness_counts(pops, targets)
-            if gen < config.generations:
-                pops = _next_generation(problem, pops, rngs, config)
-    return hits
 
 
 def _cpus() -> int:
@@ -212,8 +217,9 @@ def _cpus() -> int:
 
 
 def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -> np.ndarray:
-    """``_run_hits`` summed over ``shares``: the first in this process, each
-    other one in a forked worker that sends its counts back through a pipe.
+    """``_run_hits`` of the runs seeded by ``shares``, summed: the first share
+    in this process, each other one in a forked worker that sends its
+    counts back through a pipe.
 
     Plain ``os.fork``: a spawned worker would import numpy again (about
     0.2 s of CPU each), and importing ``multiprocessing`` alone adds about
@@ -230,7 +236,8 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
             os.close(write)
             pids.append(pid)
             pipes.append(os.fdopen(read, "rb"))
-        hits = _run_hits(problem, targets, config, shares[0])
+        hits = _run_hits(problem, targets, config, config.population_size,
+                         config.generations, map(np.random.default_rng, shares[0]))
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -244,13 +251,15 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
 
 
 def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray) -> None:
-    """A forked worker's body: writes ``_run_hits`` of ``seeds`` to the
-    pipe ``write`` and ends the process, never returning into the caller's
-    code."""
+    """A forked worker's body: writes ``_run_hits`` of the runs seeded by
+    ``seeds`` to the pipe ``write`` and ends the process, never returning
+    into the caller's code."""
     code = 1
     try:
         with os.fdopen(write, "wb") as pipe:
-            pipe.write(_run_hits(problem, targets, config, seeds).tobytes())
+            hits = _run_hits(problem, targets, config, config.population_size,
+                             config.generations, map(np.random.default_rng, seeds))
+            pipe.write(hits.tobytes())
         code = 0
     except BaseException:
         # Not re-raised: unwinding would run the caller's code a second time.
@@ -280,28 +289,11 @@ def generational_observability(
     step = _block_runs(config.population_size, problem.size)
     blocks = -(-config.runs // step)
     workers = min(_cpus(), blocks)
-    if workers == 1:
-        hits = _run_hits(problem, targets, config, run_seeds)
-    else:
-        cuts = [step * (blocks * w // workers) for w in range(workers + 1)]
-        hits = _forked_hits(
-            problem, targets, config, [run_seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        )
-    out = []
-    for j, t in enumerate(targets):
-        for gen in range(config.generations + 1):
-            p = hits[j, gen] / config.runs
-            out.append(
-                ObservabilityPoint(
-                    t.order,
-                    config.population_size,
-                    gen,
-                    p,
-                    config.runs,
-                    math.sqrt(p * (1 - p) / config.runs),
-                )
-            )
-    return out
+    cuts = [step * (blocks * w // workers) for w in range(workers + 1)]
+    hits = _forked_hits(
+        problem, targets, config, [run_seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    )
+    return _points(targets, config.population_size, hits, config.runs)
 
 
 def block_targets(block_sizes: Sequence[int]) -> list[ObservabilityTarget]:

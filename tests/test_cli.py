@@ -446,6 +446,8 @@ class TestUserErrorsExitTwo:
         ["eg", "--kind", "ctrap", "--m", "2", "--cap", "-5"],
         ["eg", "--kind", "ctrap", "--m", "2", "--cap", "0"],
         ["decompose", "--spec", "ctrap-m1.json", "--cap", "0"],
+        ["weak-observability", "--blocks", ""],
+        ["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "", "--runs", "2"],
     ])
     def test_bad_arguments(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)  # a valid spec for the cases that pass one

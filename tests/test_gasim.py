@@ -166,6 +166,10 @@ class TestObservability:
             math.sqrt(pt.probability * (1 - pt.probability) / 100)
         )
 
+    def test_initial_needs_a_run(self, problem25, targets25):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            initial_observability(problem25, targets25, [10], runs=0, seed=0)
+
     def test_target_order(self):
         assert ObservabilityTarget((0, 1, 2, 3)).order == 3
 
@@ -368,14 +372,23 @@ class TestWorkers:
             for workers in (1, 2, 3):
                 with patch.object(gasim, "_cpus", return_value=workers):
                     points[workers] = _as_tuples(generational_observability(problem, targets, config))
-        assert shares == [[6, 5], [3, 3, 5]]
+        assert shares == [[11], [6, 5], [3, 3, 5]]
         assert points[1] == points[2] == points[3]
         assert points[1] == sequential_generational(problem, targets, config)
 
     def test_one_block_runs_in_process(self, problem25, targets25):
         config = GaConfig(20, 2, runs=4, seed=3)
         with patch.object(gasim, "_cpus", return_value=8), \
-                patch.object(gasim, "_forked_hits", side_effect=AssertionError):
+                patch.object(os, "fork", side_effect=AssertionError):
+            points = generational_observability(problem25, targets25, config)
+        assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
+
+    def test_one_cpu_runs_every_block_in_process(self, problem25, targets25):
+        # 2 runs per block: 7 runs make 4 blocks, all in this process
+        config = GaConfig(10, 2, runs=7, seed=8)
+        with patch.object(gasim, "_BLOCK_ALLELES", 2 * 10 * problem25.size), \
+                patch.object(gasim, "_cpus", return_value=1), \
+                patch.object(os, "fork", side_effect=AssertionError):
             points = generational_observability(problem25, targets25, config)
         assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
 
