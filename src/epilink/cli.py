@@ -17,7 +17,7 @@ from typing import Sequence
 # wins, and forked GA workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import decomposition, epistasis, gasim, graph, oracles
+from . import decomposition, gasim, graph, oracles
 from .decomposition import pac_sweep
 from .model import (
     DEFAULT_CAP,
@@ -181,39 +181,14 @@ def cmd_verify(args) -> int:
     problem = _load_problem(args)
     _at_least(args.weak_order, 0, "weak-epistasis audit order")
     wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
-    unknown = set(wanted) - {"decomposition", "blanket", "clique"}
+    unknown = set(wanted) - set(oracles.THEOREMS)
     if unknown:
         raise ProblemSpecError(f"unknown theorems: {sorted(unknown)}")
     if not wanted:
         raise ProblemSpecError("--theorems names no theorem")
-    eg = graph.build_eg(problem, args.cap)
-    # One weak-epistasis audit serves every report that rests on it.
-    weak = None
-    if {"decomposition", "blanket"} & set(wanted):
-        weak = epistasis.find_weak_epistases(problem, args.weak_order, args.cap)
-    reports = []
-    if "decomposition" in wanted:
-        reports.append(
-            oracles.verify_decomposition_theorem(
-                problem, args.weak_order, args.cap, eg=eg, weak=weak
-            )
-        )
-    if "blanket" in wanted:
-        for v in range(problem.size):
-            reports.append(
-                oracles.verify_blanket(
-                    problem, {v}, args.weak_order, args.cap, eg=eg, weak=weak
-                )
-            )
-    if "clique" in wanted:
-        reports.append(oracles.verify_clique_structure(problem, args.cap, eg=eg))
-    for report in reports[1:]:  # the shared audit's order is shown once
-        report.audited_weak_order = None
-    text = "\n\n".join(r.summary() for r in reports) + "\n"
-    _emit(text, args.output)
-    if not all(r.ok for r in reports):
-        return EXIT_THEOREM
-    return EXIT_OK
+    reports = oracles.verify(problem, wanted, args.weak_order, args.cap)
+    _emit("\n\n".join(r.summary() for r in reports) + "\n", args.output)
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_THEOREM
 
 
 def cmd_pac_sweep(args) -> int:
@@ -339,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run brute-force theorem oracles")
     problem_options(p)
-    p.add_argument("--theorems", default="decomposition,blanket,clique")
+    p.add_argument("--theorems", default=",".join(oracles.THEOREMS))
     p.add_argument("--weak-order", type=int, default=4,
                    help="bounded weak-epistasis audit order")
     p.set_defaults(func=cmd_verify)

@@ -99,17 +99,12 @@ def epistatic_targets(problem, max_order: int, cap: int = DEFAULT_CAP) -> Iterat
             yield S, {int(v) for v in np.flatnonzero(witnessed)}
 
 
-def find_weak_epistases(
-    problem,
-    max_order: int = 4,
-    cap: int = DEFAULT_CAP,
-    first_only: bool = False,
-) -> list[tuple[frozenset[int], int]]:
+def find_weak_epistases(problem, max_order: int = 4, cap: int = DEFAULT_CAP) -> list[tuple[frozenset[int], int]]:
     """All weak epistases (S, v) with 2 <= |S| <= max_order.
 
     The audit is order-bounded because the full scan is exponential; use
     it to vet the no-weak-epistasis premise of the decomposition
-    theorems.  ``first_only`` stops at the first find.
+    theorems.
     """
     targets: dict[tuple[int, ...], set[int]] = {}
     found: list[tuple[frozenset[int], int]] = []
@@ -120,7 +115,4 @@ def find_weak_epistases(
         proper = (targets[T] for size in range(1, len(S)) for T in itertools.combinations(S, size))
         for v in sorted(hit.difference(*proper)):  # weak: no proper subset is epistatic to v
             found.append((frozenset(S), v))
-            if first_only:
-                return found
     return found
-

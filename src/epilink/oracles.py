@@ -1,5 +1,6 @@
 """Brute-force ground-truth checkers: stationary optima, decomposition and
-blanket theorem verification, clique structure, and EBACC scoring.  The
+blanket theorem verification, clique structure, and EBACC scoring;
+``verify`` runs the theorem checks on one graph and one audit.  The
 stationary-optimum scans read the fitness table, so they refuse exactly
 what the cap or the table budget refuses."""
 
@@ -73,9 +74,11 @@ class TheoremReport:
 def _fitness_table(problem, cap: int) -> np.ndarray:
     """The fitness table; refused, before any scan, when the cap refuses
     2^size or the table does not fit its byte budget (22 loci)."""
-    table = problem.fitness_table() if 2 ** problem.size <= cap else None
+    if 2 ** problem.size > cap:
+        raise EnumerationCapError(2 ** problem.size, cap)
+    table = problem.fitness_table()
     if table is None:
-        raise EnumerationCapError(2 ** problem.size, min(cap, _TABLE_BUDGET // 8))
+        raise EnumerationCapError(2 ** problem.size, _TABLE_BUDGET // 8)
     return table
 
 
@@ -144,22 +147,17 @@ def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignme
 
 
 def verify_decomposition_theorem(
-    problem,
-    weak_order: int = 4,
-    cap: int = DEFAULT_CAP,
-    eg: _graph.EpistaticGraph | None = None,
-    weak: list[tuple[frozenset[int], int]] | None = None,
+    problem, G: _graph.EpistaticGraph, weak: list[tuple[frozenset[int], int]], cap: int = DEFAULT_CAP
 ) -> TheoremReport:
-    """Check coverage(minimum SO of v) == in-closure of v for every locus,
-    plus the all-correct-pattern corollary.
+    """Check coverage(minimum SO of v) == in-closure of v in ``G``, the
+    problem's epistatic graph, for every locus, plus the all-correct-pattern
+    corollary.
 
-    The claims are conditional on the absence of weak epistasis; when the
-    bounded audit finds one, every claim is reported not-applicable with
-    the witnesses attached.  ``weak`` passes in an audit already run.
+    The claims are conditional on the absence of weak epistasis; when
+    ``weak``, the bounded audit's finds, names one, every claim is
+    reported not-applicable with the witnesses attached.
     """
-    report = TheoremReport(problem.name, audited_weak_order=weak_order)
-    if weak is None:
-        weak = _ep.find_weak_epistases(problem, weak_order, cap)
+    report = TheoremReport(problem.name)
     if weak:
         for v in range(problem.size):
             onto_v = [S for S, w in weak if w == v]
@@ -170,7 +168,6 @@ def verify_decomposition_theorem(
                 else "weak epistases found elsewhere in the problem",
             )
         return report
-    G = eg if eg is not None else _graph.build_eg(problem, cap)
     g = global_optimum(problem, cap)
     for v, mso in enumerate(minimum_stationary_optima(problem, cap)):
         closure = _graph.in_closure(G, v)
@@ -191,19 +188,17 @@ def verify_decomposition_theorem(
 def verify_blanket(
     problem,
     S: Iterable[int],
-    weak_order: int = 4,
+    G: _graph.EpistaticGraph,
+    weak: list[tuple[frozenset[int], int]],
     cap: int = DEFAULT_CAP,
-    eg: _graph.EpistaticGraph | None = None,
-    weak: list[tuple[frozenset[int], int]] | None = None,
 ) -> TheoremReport:
-    """Check that correctly setting the direct in-neighbors of S keeps every
-    correct allele on S constrained-optimal, for every assignment on the
-    loci beyond the second in-tier, unless the weak-epistasis audit (run
-    here, or passed in as ``weak``) finds a witness."""
+    """Check that correctly setting the direct in-neighbors of S in ``G``,
+    the problem's epistatic graph, keeps every correct allele on S
+    constrained-optimal, for every assignment on the loci beyond the
+    second in-tier, unless ``weak``, the bounded audit's finds, names a
+    witness."""
     S = frozenset(S)
-    report = TheoremReport(problem.name, audited_weak_order=weak_order)
-    if weak is None:
-        weak = _ep.find_weak_epistases(problem, weak_order, cap, first_only=True)
+    report = TheoremReport(problem.name)
     if weak:
         Sw, vw = weak[0]
         report.add_na(
@@ -211,7 +206,6 @@ def verify_blanket(
             f"weak epistasis found: {sorted(Sw)} => {vw}",
         )
         return report
-    G = eg if eg is not None else _graph.build_eg(problem, cap)
     g = global_optimum(problem, cap)
     tier1 = _graph.in_set(G, S, 1)
     tier2 = _graph.in_set(G, S, 2)
@@ -237,13 +231,11 @@ def verify_blanket(
     return report
 
 
-def verify_clique_structure(
-    problem, cap: int = DEFAULT_CAP, eg: _graph.EpistaticGraph | None = None
-) -> TheoremReport:
-    """On strict-only graphs: every multi-vertex SCC is a bidirectional
-    clique, and the largest SCC size equals the largest in-degree plus one."""
+def verify_clique_structure(problem, G: _graph.EpistaticGraph) -> TheoremReport:
+    """On strict-only epistatic graphs ``G``: every multi-vertex SCC is a
+    bidirectional clique, and the largest SCC size equals the largest
+    in-degree plus one."""
     report = TheoremReport(problem.name)
-    G = eg if eg is not None else _graph.build_eg(problem, cap)
     if not G.only_strict():
         nonstrict = sorted((u, v) for u, v, k in G.edges if k == "nonstrict")
         report.add_na(
@@ -255,12 +247,7 @@ def verify_clique_structure(
     for comp in comps:
         if len(comp) < 2:
             continue
-        missing = [
-            (u, v)
-            for u in comp
-            for v in comp
-            if u != v and not G.has_edge(u, v)
-        ]
+        missing = [(u, v) for u in comp for v in comp if u != v and not G.has_edge(u, v)]
         report.add(
             f"SCC {sorted(comp)} is a bidirectional clique",
             not missing,
@@ -277,6 +264,36 @@ def verify_clique_structure(
     else:
         report.add("no cycles: clique structure holds vacuously", True)
     return report
+
+
+#: The theorems ``verify`` checks, in report order.
+THEOREMS = ("decomposition", "blanket", "clique")
+
+
+def verify(
+    problem, theorems: Iterable[str], weak_order: int = 4, cap: int = DEFAULT_CAP
+) -> list[TheoremReport]:
+    """Reports on the named ``theorems`` (of ``THEOREMS``): decomposition,
+    the blanket of each singleton {v}, then clique structure.  They share
+    one epistatic graph and, for the first two, one weak-epistasis audit,
+    whose order the first report shows.  The decomposition theorem refuses
+    what its table scan would refuse before anything is scanned."""
+    theorems = set(theorems)
+    if "decomposition" in theorems:
+        _fitness_table(problem, cap)
+    G = _graph.build_eg(problem, cap)
+    audited = bool({"decomposition", "blanket"} & theorems)
+    weak = _ep.find_weak_epistases(problem, weak_order, cap) if audited else []
+    reports = []
+    if "decomposition" in theorems:
+        reports.append(verify_decomposition_theorem(problem, G, weak, cap))
+    if "blanket" in theorems:
+        reports += [verify_blanket(problem, {v}, G, weak, cap) for v in range(problem.size)]
+    if "clique" in theorems:
+        reports.append(verify_clique_structure(problem, G))
+    if audited:
+        reports[0].audited_weak_order = weak_order
+    return reports
 
 
 @dataclass(frozen=True)

@@ -332,17 +332,34 @@ class ProblemSpecError(ValueError):
     """Malformed problem specification."""
 
 
+def _integral(value) -> bool:
+    """An int or numpy integer; a bool, a float or a string is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(field: str, value) -> int:
+    if not _integral(value):
+        raise ProblemSpecError(f"{field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(field: str, values) -> list[int]:
+    listed = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, (str, bytes))
+    if not listed or not all(map(_integral, values)):
+        raise ProblemSpecError(f"{field!r} must be a list of integers, got {values!r}")
+    return [int(v) for v in values]
+
+
 def _size(kind: str, spec: dict) -> int:
-    if "l" in spec:
-        return int(spec.pop("l"))
-    if "size" in spec:
-        return int(spec.pop("size"))
+    for field in ("l", "size"):
+        if field in spec:
+            return _integer(field, spec.pop(field))
     raise ProblemSpecError(f"{kind} spec needs 'l' (problem size)")
 
 
 def _block_count(kind: str, spec: dict, block: int) -> int:
     if "m" in spec:
-        return int(spec.pop("m"))
+        return _integer("m", spec.pop("m"))
     if "l" in spec or "size" in spec:
         size = _size(kind, spec)
         if size % block != 0:
@@ -364,7 +381,7 @@ def _blocks_of(cls, block: int):
 def _onemax_prime_blocks(kind: str, spec: dict, perm, name) -> OneMaxPrimeConcat:
     if "block_sizes" not in spec:
         raise ProblemSpecError("onemax-prime-blocks spec needs 'block_sizes'")
-    return OneMaxPrimeConcat(spec.pop("block_sizes"), perm, name)
+    return OneMaxPrimeConcat(_integers("block_sizes", spec.pop("block_sizes")), perm, name)
 
 
 def _lookup_table(kind: str, spec: dict, perm, name) -> LookupTable:
@@ -409,6 +426,10 @@ def make_problem(spec: Mapping) -> FitnessProblem:
         if kind not in KINDS:
             raise ProblemSpecError(f"unknown problem kind {kind!r}")
         perm, name = fields.pop("permutation", None), fields.pop("name", None)
+        if perm is not None:
+            perm = _integers("permutation", perm)
+        if name is not None and not isinstance(name, str):
+            raise ProblemSpecError(f"'name' must be a string, got {name!r}")
         problem = KINDS[kind](kind, fields, perm, name)
         if fields:
             raise ProblemSpecError(

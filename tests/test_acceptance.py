@@ -122,9 +122,10 @@ def test_criterion_03_eg_structures():
 def test_criterion_04_decomposition_theorem():
     ok = True
     for p in (OneMax(10), LeadingOnes(8), CTrap(2), CNiah(2), LeadingTraps(2)):
-        r = verify_decomposition_theorem(p, weak_order=3)
+        r = verify_decomposition_theorem(p, build_eg(p), ep.find_weak_epistases(p, 3))
         ok = ok and r.ok and r.applicable
-    r = verify_decomposition_theorem(CycTrap(4), weak_order=2)
+    p = CycTrap(4)
+    r = verify_decomposition_theorem(p, build_eg(p), ep.find_weak_epistases(p, 2))
     ok = ok and not r.applicable
     ok = ok and any("[2, 4] => 3" in c.detail for c in r.claims)
     report(4, "minimum-SO coverage equals the in-closure on clean benchmarks", ok)
@@ -152,17 +153,17 @@ def test_criterion_06_pe_correctness():
 def test_criterion_07_blanket_theorem():
     ok = True
     for p in (CTrap(2), LeadingTraps(2)):
-        weak = ep.find_weak_epistases(p, 3, first_only=True)
+        G, weak = build_eg(p), ep.find_weak_epistases(p, 3)
         for v in range(p.size):
-            r = verify_blanket(p, {v}, weak_order=3, weak=weak)
+            r = verify_blanket(p, {v}, G, weak)
             ok = ok and r.ok and r.applicable
     report(7, "epistasis blanket holds for every singleton", ok)
 
 
 def test_criterion_08_clique_structure():
-    r = verify_clique_structure(CTrap(3))
-    ok = r.ok and r.applicable
     G = build_eg(CTrap(3))
+    r = verify_clique_structure(CTrap(3), G)
+    ok = r.ok and r.applicable
     ok = ok and G.max_in_degree() + 1 == 4
     report(8, "strict-graph SCCs are disjoint 4-cliques, size = in-degree + 1", ok)
 

@@ -180,6 +180,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert "not-applicable" in out
 
+    def test_decomposition_refused_before_any_scan(self, capsys):
+        # above the table budget, the refusal comes before the graph or the audit
+        from epilink import graph, problems
+
+        with patch.object(problems, "_TABLE_BUDGET", 8 << 9), \
+                patch.object(graph, "build_eg", side_effect=AssertionError("scanned")):
+            code, out, err = run(
+                capsys, "verify", "--kind", "onemax", "--l", "10", "--theorems", "decomposition"
+            )
+        assert (code, out) == (EXIT_CAP, "")
+        assert err.startswith("error: exhaustive enumeration needs 1024 completions")
+
     def test_unknown_theorem(self, capsys):
         code, _, err = run(
             capsys,
@@ -410,6 +422,20 @@ class TestSpecFilesAndExitCodes:
         assert "not unique" in err
 
 
+#: Spec fields of the wrong type, each with the field its refusal names.
+WRONG_TYPES = [
+    ({"kind": "onemax", "l": 2, "permutation": [1.0, 0.0]}, "permutation"),
+    ({"kind": "onemax", "l": 2, "permutation": [True, False]}, "permutation"),
+    ({"kind": "onemax", "l": 2, "name": 5}, "name"),
+    ({"kind": "ctrap", "m": 1.5}, "m"),
+    ({"kind": "onemax", "l": "4"}, "l"),
+    ({"kind": "onemax", "l": 1e3}, "l"),
+    ({"kind": "onemax", "size": True}, "size"),
+    ({"kind": "onemax-prime-blocks", "block_sizes": "34"}, "block_sizes"),
+    ({"kind": "onemax-prime-blocks", "block_sizes": [2.9, 3]}, "block_sizes"),
+]
+
+
 class TestUserErrorsExitTwo:
     """Bad command-line or spec input exits 2; any other ValueError is a bug."""
 
@@ -525,6 +551,7 @@ class TestUserErrorsExitTwo:
         5,
         {"kind": "onemax", "l": 4, "permuation": [3, 2, 1, 0]},
         {"kind": "lookup-table", "table": [0, 1], "pairs": {"1": 2}},
+        *(spec for spec, _ in WRONG_TYPES),
     ])
     def test_bad_spec_fields(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -532,6 +559,15 @@ class TestUserErrorsExitTwo:
         code, out, err = run(capsys, "eg", "--spec", str(path))
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec, field", WRONG_TYPES)
+    def test_wrong_type_names_the_field(self, capsys, tmp_path, spec, field):
+        # decompose ran a bool permutation into a matmul shape error
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "decompose", "--spec", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {field!r} must be ")
 
     def test_internal_value_error_is_not_a_parse_error(self, capsys, monkeypatch):
         from epilink import graph

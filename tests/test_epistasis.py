@@ -84,10 +84,6 @@ class TestWeakAudit:
         weak = ep.find_weak_epistases(cyctrap12, max_order=2)
         assert (frozenset({2, 4}), 3) in weak
 
-    def test_first_only_short_circuits(self, cyctrap12):
-        weak = ep.find_weak_epistases(cyctrap12, max_order=2, first_only=True)
-        assert len(weak) == 1
-
     def test_onemax_prime_blocks_found(self):
         p = OneMaxPrimeConcat([3])
         weak = set(ep.find_weak_epistases(p, max_order=2))

@@ -56,7 +56,7 @@ def loop_reference(problem):
     return epistatic, witnesses
 
 
-def weak_by_loop(problem, max_order, first_only=False):
+def weak_by_loop(problem, max_order):
     epistatic, _ = loop_reference(problem)
     found = []
     for order in range(2, max_order + 1):
@@ -67,8 +67,6 @@ def weak_by_loop(problem, max_order, first_only=False):
                 subsets = [T for k in range(1, order) for T in itertools.combinations(S, k)]
                 if not any(epistatic(T, v) for T in subsets):
                     found.append((frozenset(S), v))
-                    if first_only:
-                        return found
     return found
 
 
@@ -87,12 +85,9 @@ class TestEpistasisAgainstLoops:
             assert ep.witnesses(problem, S, v) == witnesses(S, v)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=lookup_tables(max_size=5), max_order=st.integers(2, 3),
-           first_only=st.booleans())
-    def test_find_weak_epistases(self, problem, max_order, first_only):
-        assert ep.find_weak_epistases(problem, max_order, first_only=first_only) == weak_by_loop(
-            problem, max_order, first_only
-        )
+    @given(problem=lookup_tables(max_size=5), max_order=st.integers(2, 3))
+    def test_find_weak_epistases(self, problem, max_order):
+        assert ep.find_weak_epistases(problem, max_order) == weak_by_loop(problem, max_order)
 
     @settings(max_examples=30, deadline=None)
     @given(problem=lookup_tables(max_size=5), bound=st.integers(1, 3))
@@ -140,7 +135,7 @@ class TestBlanketAgainstLoop:
     def test_claims_and_detail(self, problem, data):
         S = data.draw(st.lists(st.integers(0, problem.size - 1), min_size=1, max_size=2,
                                unique=True))
-        assert claims(verify_blanket(problem, S, weak=[])) == blanket_by_loop(problem, S)
+        assert claims(verify_blanket(problem, S, build_eg(problem), [])) == blanket_by_loop(problem, S)
 
     def test_random_tables_fail_and_pass(self):
         # the fail path and its detail text are exercised, not only passes
@@ -151,7 +146,7 @@ class TestBlanketAgainstLoop:
             values[rng.integers(2 ** 5)] = 64
             problem = LookupTable((values / 2).tolist())
             for v in range(5):
-                got = claims(verify_blanket(problem, {v}, weak=[]))
+                got = claims(verify_blanket(problem, {v}, build_eg(problem), []))
                 assert got == blanket_by_loop(problem, {v})
                 statuses.add(got[0][1])
         assert statuses == {"pass", "fail"}

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epilink import epistasis, graph
+from epilink.epistasis import find_weak_epistases
 from epilink.graph import build_eg, in_closure
 from epilink.model import Assignment, EnumerationCapError, global_optimum, pack_bits
 from epilink.oracles import (
@@ -17,6 +19,7 @@ from epilink.oracles import (
     indicator_ebacc,
     is_stationary_optimum,
     minimum_stationary_optima,
+    verify,
     verify_blanket,
     verify_clique_structure,
     verify_decomposition_theorem,
@@ -28,6 +31,15 @@ from epilink.problems import CTrap, CycTrap, LeadingOnes, LeadingTraps, LookupTa
 def indicator(c):
     """The hypothesis that accepts exactly the chromosome ``c``."""
     return lambda bits: tuple(bits) == tuple(c)
+
+
+def decomposition_report(problem, weak_order):
+    weak = find_weak_epistases(problem, weak_order)
+    return verify_decomposition_theorem(problem, build_eg(problem), weak)
+
+
+def blanket_report(problem, S, weak_order):
+    return verify_blanket(problem, S, build_eg(problem), find_weak_epistases(problem, weak_order))
 
 
 class TestIsStationaryOptimum:
@@ -222,26 +234,26 @@ class TestMinimumStationaryOptimumSearch:
 
 class TestDecompositionTheorem:
     def test_ctrap_passes(self, ctrap8):
-        report = verify_decomposition_theorem(ctrap8, weak_order=3)
+        [report] = verify(ctrap8, ["decomposition"], 3)
         assert report.ok and report.applicable
         assert report.audited_weak_order == 3
         assert len(report.claims) == 16  # closure + pattern claim per locus
 
     def test_leadingones_passes(self):
         p = LeadingOnes(6)
-        report = verify_decomposition_theorem(p, weak_order=3)
+        report = decomposition_report(p, 3)
         assert report.ok
         for v, mso in enumerate(minimum_stationary_optima(p)):
             assert mso.coverage == frozenset(range(v + 1))
 
     def test_cyctrap_not_applicable(self, cyctrap12):
-        report = verify_decomposition_theorem(cyctrap12, weak_order=2)
+        report = decomposition_report(cyctrap12, 2)
         assert not report.applicable
         assert all(c.status == "not-applicable" for c in report.claims)
         assert any("[2, 4] => 3" in c.detail for c in report.claims)
 
     def test_report_serialization(self, ctrap8):
-        report = verify_decomposition_theorem(ctrap8, weak_order=2)
+        report = decomposition_report(ctrap8, 2)
         payload = report.to_json()
         assert payload["problem"] == ctrap8.name
         assert all(c["status"] == "pass" for c in payload["claims"])
@@ -251,52 +263,87 @@ class TestDecompositionTheorem:
 class TestBlanket:
     def test_ctrap_singletons(self, ctrap8):
         for v in range(8):
-            report = verify_blanket(ctrap8, {v}, weak_order=2)
+            report = blanket_report(ctrap8, {v}, 2)
             assert report.ok and report.applicable
 
     def test_onemax_vacuous(self, onemax8):
-        report = verify_blanket(onemax8, {3}, weak_order=2)
+        report = blanket_report(onemax8, {3}, 2)
         assert report.ok
 
     def test_leadingtraps_cross_block(self, leadingtraps8):
-        report = verify_blanket(leadingtraps8, {4}, weak_order=2)
+        report = blanket_report(leadingtraps8, {4}, 2)
         assert report.ok
 
     def test_multi_locus_set(self, ctrap8):
-        report = verify_blanket(ctrap8, {0, 1}, weak_order=2)
+        report = blanket_report(ctrap8, {0, 1}, 2)
         assert report.ok
 
     def test_weak_premise_not_applicable(self, cyctrap12):
-        report = verify_blanket(cyctrap12, {0}, weak_order=2)
+        report = blanket_report(cyctrap12, {0}, 2)
         assert not report.applicable
         assert "weak epistasis found" in report.claims[0].detail
 
     def test_skip_weak_audit(self, cyctrap12):
         # an empty audit passed in: the raw blanket claim itself still holds
-        report = verify_blanket(cyctrap12, {1}, weak=[])
+        report = verify_blanket(cyctrap12, {1}, build_eg(cyctrap12), [])
         assert report.applicable
 
 
 class TestCliqueStructure:
     def test_ctrap12(self):
-        report = verify_clique_structure(CTrap(3))
+        report = verify_clique_structure(CTrap(3), build_eg(CTrap(3)))
         assert report.ok and report.applicable
         assert any("max in-degree + 1" in c.name for c in report.claims)
 
     def test_cniah_not_applicable(self, cniah8):
-        report = verify_clique_structure(cniah8)
+        report = verify_clique_structure(cniah8, build_eg(cniah8))
         assert not report.applicable
         assert "non-strict" in report.claims[0].detail
 
     def test_claims_by_smallest_locus(self):
-        report = verify_clique_structure(CycTrap(5))
+        report = verify_clique_structure(CycTrap(5), build_eg(CycTrap(5)))
         cliques = [c.name for c in report.claims if "clique" in c.name]
         assert cliques == [f"SCC {[v, v + 1]} is a bidirectional clique" for v in (1, 4, 7, 10, 13)]
 
     def test_onemax_vacuous(self, onemax8):
-        report = verify_clique_structure(onemax8)
+        report = verify_clique_structure(onemax8, build_eg(onemax8))
         assert report.ok
         assert any("vacuously" in c.name for c in report.claims)
+
+
+class TestVerify:
+    def test_reports_in_theorem_order(self, ctrap8):
+        reports = verify(ctrap8, ["clique", "blanket", "decomposition"], 2)
+        assert len(reports) == 1 + 8 + 1
+        assert reports[0].claims[0].name == "coverage(MSO(0)) == in-closure(0)"
+        assert [r.claims[0].name for r in reports[1:9]] == [
+            f"blanket holds for S=[{v}]" for v in range(8)
+        ]
+        assert reports[9].claims[0].name == "SCC [0, 1, 2, 3] is a bidirectional clique"
+        assert all(r.ok and r.applicable for r in reports)
+
+    def test_first_report_shows_the_audit_order(self, ctrap8):
+        reports = verify(ctrap8, oracles.THEOREMS, 3)
+        assert [r.audited_weak_order for r in reports] == [3] + [None] * 9
+
+    def test_clique_alone_shows_no_audit(self, ctrap8):
+        [report] = verify(ctrap8, ["clique"], 3)
+        assert report.audited_weak_order is None
+
+    @pytest.mark.parametrize("theorems, audits", [(oracles.THEOREMS, 1), (["clique"], 0)])
+    def test_one_graph_and_at_most_one_audit(self, ctrap8, theorems, audits):
+        find = epistasis.find_weak_epistases
+        with mock.patch.object(graph, "build_eg", wraps=graph.build_eg) as eg, \
+                mock.patch.object(epistasis, "find_weak_epistases", wraps=find) as audit:
+            verify(ctrap8, theorems, 2)
+        assert (eg.call_count, audit.call_count) == (1, audits)
+
+    def test_cap_named_before_the_budget(self):
+        # a cap above the budget's 16 entries that refuses 2^10 rows is named
+        with mock.patch.object(oracles, "_TABLE_BUDGET", 8 << 4), \
+                mock.patch.object(graph, "build_eg", side_effect=AssertionError("scanned")):
+            with pytest.raises(EnumerationCapError, match="cap of 256$"):
+                verify(OneMax(10), oracles.THEOREMS, cap=256)
 
 
 class TestEbacc:
