@@ -75,6 +75,11 @@ def random_population(problem, n: int, rng: np.random.Generator) -> np.ndarray:
 #: a stationary-superior pattern.
 _CHUNK_BITS = 14
 
+#: Chromosomes a scan tests every subset on before checking the subsets that
+#: pass there on the rest of the population; with at most twice as many
+#: chromosomes the whole population is tested at once.
+_SCREEN_ROWS = 16
+
 
 def test_so(problem, S: Iterable[int], population: np.ndarray) -> tuple[bool, Assignment | None]:
     """Check whether one assignment on S strictly beats all alternatives in
@@ -102,12 +107,19 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
     unique maximum in every chromosome's context.
 
     Returns how many subsets were tested and the index of the passing
-    subset's winning pattern (None if none passed).  A chunk's fitness is a
-    (2^k patterns, n chromosomes, subsets) tensor: one gather at the packed
-    variant indices from the fitness table, else one ``evaluate_many`` call
-    over the chunk's variant rows.  The scan's planned work for
-    ``fitness_table`` is all of it, n * 2^k * subsets rows, so a scan never
-    enumerates the search space where testing the subsets would not.
+    subset's winning pattern (None if none passed).  Each chunk is first
+    tested on the screen, the first ``_SCREEN_ROWS`` chromosomes (all n when
+    n <= 2 * ``_SCREEN_ROWS``); the subsets that pass there are then checked
+    in order on the remaining chromosomes, which must all pick the screen's
+    winner.  A subset that fails the screen fails the whole test, so the
+    result is the first subset passing on all n chromosomes.
+
+    Fitness for a set of chromosomes and subsets is a (2^k patterns,
+    chromosomes, subsets) tensor: one gather at the packed variant indices
+    from the fitness table, else one ``evaluate_many`` call over the variant
+    rows.  The scan's planned work for ``fitness_table`` is all of it,
+    n * 2^k * subsets rows, so a scan never enumerates the search space
+    where testing the subsets would not.
     """
     n, size = population.shape
     k = subsets.shape[1]
@@ -115,28 +127,41 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
     table = problem.fitness_table((n * len(subsets)) << k)
     if table is not None:  # chromosomes as packed indices, locus 0 most significant
         place = 1 << np.arange(size - 1, -1, -1, dtype=np.int64)
-        idx = population @ place
-    step = max(1, (1 << _CHUNK_BITS) // (n << k))
-    for start in range(0, len(subsets), step):
-        chunk = subsets[start:start + step]
+        rows = population @ place
+    else:
+        rows = population
+
+    def hits(chromosomes, chunk):
+        """hits[p, s]: chromosomes in which pattern p reaches the maximum on
+        subset s.  Every chromosome has a maximum, so s passes on these
+        chromosomes iff a single pattern holds all of s's hits."""
         if table is not None:
             weights = place[chunk].T  # (k, subsets)
             offsets = patterns @ weights  # each pattern written on each subset
-            context = idx[:, None] & ~weights.sum(axis=0)  # each chromosome, subset cleared
+            context = chromosomes[:, None] & ~weights.sum(axis=0)  # subset cleared
             fits = table[offsets[:, None, :] + context]
         else:
-            variants = np.empty((2 ** k, n, len(chunk), size), dtype=np.uint8)
-            variants[:] = population[:, None, :]
+            variants = np.empty((2 ** k, len(chromosomes), len(chunk), size), dtype=np.uint8)
+            variants[:] = chromosomes[:, None, :]
             variants[:, :, np.arange(len(chunk))[:, None], chunk] = patterns[:, None, None, :]
-            fits = problem.evaluate_many(variants.reshape(-1, size)).reshape(2 ** k, n, len(chunk))
-        # hits[p, s]: chromosomes in which pattern p reaches the maximum on
-        # subset s.  Every chromosome has a maximum, so s passes iff a single
-        # pattern holds all of s's hits.
-        hits = (fits == fits.max(axis=0)).sum(axis=1)
-        passed = hits.max(axis=0) == hits.sum(axis=0)
-        j = int(passed.argmax())
-        if passed[j]:
-            return start + j + 1, int(hits[:, j].argmax())
+            fits = problem.evaluate_many(variants.reshape(-1, size)).reshape(
+                2 ** k, len(chromosomes), len(chunk)
+            )
+        return (fits == fits.max(axis=0)).sum(axis=1)
+
+    cut = _SCREEN_ROWS if n > 2 * _SCREEN_ROWS else n
+    screen, rest = rows[:cut], rows[cut:]
+    step = max(1, (1 << _CHUNK_BITS) // (len(screen) << k))
+    for start in range(0, len(subsets), step):
+        chunk = subsets[start:start + step]
+        screened = hits(screen, chunk)
+        for j in (screened.max(axis=0) == screened.sum(axis=0)).nonzero()[0]:
+            winner = int(screened[:, j].argmax())
+            if len(rest):
+                checked = hits(rest, chunk[j:j + 1])[:, 0]
+                if checked[winner] != checked.sum():
+                    continue
+            return start + int(j) + 1, winner
     return len(subsets), None
 
 
@@ -199,11 +224,14 @@ def ipe(
     default) or "random" (seeded shuffle within each size).
 
     Counted evaluations are n * 2^k per subset tested, up to and including
-    the first that passes ``test_so``.  The actual fitness work is reads of
-    the fitness table, or one ``evaluate_many`` call per chunk of subsets
-    when ``fitness_table`` gives none (the table is over its byte budget,
-    or a scan is too small to pay for building it), so a chunk may read
-    variants beyond the first pass that are not counted.
+    the first that passes ``test_so``.  The actual fitness work is less:
+    each chunk of subsets is screened on the first ``_SCREEN_ROWS``
+    chromosomes, and only a subset that passes there is checked on the
+    rest of the population.  It is reads of the fitness table, or one
+    ``evaluate_many`` call per screened chunk and per checked subset when
+    ``fitness_table`` gives none (the table is over its byte budget, or a
+    scan is too small to pay for building it), so a chunk may read
+    screen variants beyond the first pass that are not counted.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -218,7 +246,8 @@ def ipe(
         subsets = list(itertools.combinations(sorted(unassigned), k))
         if subset_order == "random":
             rng.shuffle(subsets)
-        tested, winner = _first_pass(problem, population, np.array(subsets))
+        flat = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * k)
+        tested, winner = _first_pass(problem, population, flat.reshape(-1, k))
         trace.evaluations += tested * n * 2 ** k
         if winner is None:
             k += 1
@@ -261,6 +290,11 @@ class PacSweepRow:
 def pac_sweep(problem, n_values, runs, seed, cap=DEFAULT_CAP) -> list[PacSweepRow]:
     """IPE success statistics across population sizes, with wrong answers
     and explicit failures tallied separately."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    n_values = list(n_values)
+    if any(n < 1 for n in n_values):
+        raise ValueError("population size must be >= 1")
     g = global_optimum(problem, cap)
     root = np.random.default_rng(seed)
     rows = []

@@ -344,10 +344,25 @@ def _integer(field: str, value) -> int:
 
 
 def _integers(field: str, values) -> list[int]:
+    return [int(v) for v in _list_of(field, values, _integral, "integers")]
+
+
+def _real(value) -> bool:
+    """An int, a float or a numpy number; a bool or a string is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _number(field: str, value):
+    if not _real(value):
+        raise ProblemSpecError(f"{field!r} must be a number, got {value!r}")
+    return value
+
+
+def _list_of(field: str, values, valid, what: str) -> list:
     listed = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, (str, bytes))
-    if not listed or not all(map(_integral, values)):
-        raise ProblemSpecError(f"{field!r} must be a list of integers, got {values!r}")
-    return [int(v) for v in values]
+    if not listed or not all(map(valid, values)):
+        raise ProblemSpecError(f"{field!r} must be a list of {what}, got {values!r}")
+    return list(values)
 
 
 def _size(kind: str, spec: dict) -> int:
@@ -386,11 +401,17 @@ def _onemax_prime_blocks(kind: str, spec: dict, perm, name) -> OneMaxPrimeConcat
 
 def _lookup_table(kind: str, spec: dict, perm, name) -> LookupTable:
     if "table" in spec:
-        return LookupTable(spec.pop("table"), perm, name)
+        return LookupTable(_list_of("table", spec.pop("table"), _real, "numbers"), perm, name)
     if "pairs" in spec:
+        size = _size(kind, spec)
+        pairs = spec.pop("pairs")
+        items = list(pairs.items() if isinstance(pairs, Mapping) else pairs)
+        if not all(_real(value) for _, value in items):
+            raise ProblemSpecError(
+                f"'pairs' must be a mapping of bit strings to numbers, got {pairs!r}"
+            )
         return LookupTable.from_pairs(
-            _size(kind, spec), spec.pop("pairs"), spec.pop("default", 0),
-            permutation=perm, name=name,
+            size, items, _number("default", spec.pop("default", 0)), permutation=perm, name=name
         )
     raise ProblemSpecError("lookup-table spec needs 'table' or 'pairs'")
 

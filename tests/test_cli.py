@@ -239,6 +239,19 @@ class TestPacSweep:
         )
         assert code == EXIT_PARSE
 
+    def test_golden_csv(self, capsys):
+        # Pins every run's outcome and counted evaluations end to end; n = 128
+        # and 512 scan through the screen, n <= 32 test every chromosome at once.
+        code, out, _ = run(
+            capsys,
+            "pac-sweep", "--kind", "ctrap", "--m", "2", "--n-values", "2,8,32,128,512",
+            "--runs", "30", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f0094cf63155f2ac7d6ed55ce3569569b76a1452a729082120714532720be600"
+        )
+
 
 class TestWeakObservability:
     def test_small_run(self, capsys):
@@ -433,6 +446,10 @@ WRONG_TYPES = [
     ({"kind": "onemax", "size": True}, "size"),
     ({"kind": "onemax-prime-blocks", "block_sizes": "34"}, "block_sizes"),
     ({"kind": "onemax-prime-blocks", "block_sizes": [2.9, 3]}, "block_sizes"),
+    ({"kind": "lookup-table", "table": [False, True]}, "table"),
+    ({"kind": "lookup-table", "table": ["0", "1"]}, "table"),
+    ({"kind": "lookup-table", "l": 1, "pairs": {"1": True}}, "pairs"),
+    ({"kind": "lookup-table", "l": 1, "pairs": {"1": 1}, "default": "0.5"}, "default"),
 ]
 
 

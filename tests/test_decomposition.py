@@ -222,25 +222,55 @@ def fitness_path(problem, table):
     return contextlib.nullcontext()
 
 
-def run_ipe(problem, n, seed, order, table="lazy", chunk_bits=None):
-    """``ipe`` on either fitness path; ``chunk_bits`` patches the chunk budget."""
+def run_ipe(problem, n, seed, order, table="lazy", chunk_bits=None, screen_rows=None):
+    """``ipe`` on either fitness path; ``chunk_bits`` patches the chunk budget
+    and ``screen_rows`` the chromosomes each chunk is screened on."""
     with contextlib.ExitStack() as stack:
         stack.enter_context(fitness_path(problem, table))
         if chunk_bits is not None:
             stack.enter_context(patch.object(decomposition, "_CHUNK_BITS", chunk_bits))
+        if screen_rows is not None:
+            stack.enter_context(patch.object(decomposition, "_SCREEN_ROWS", screen_rows))
         result = ipe(problem, n, seed, order)
     return result.chromosome, result.trace.to_json(), result.trace.evaluations
 
 
+def context_winner_table():
+    """3 loci, f = 4*x1 + 2*[x0 != x2] + x0.  The winner on {0} and on {2}
+    depends on the other locus, {1} always takes 1, and {0, 2} then takes
+    (1, 0): a screen of one chromosome passes {0} and {2}, and a population
+    that varies on the other locus fails them."""
+    return LookupTable(
+        [4 * x1 + 2 * (x0 != x2) + x0 for x0, x1, x2 in itertools.product((0, 1), repeat=3)],
+        name="context-winner",
+    )
+
+
 class TestBatchedIpe:
-    @settings(max_examples=120, deadline=None)
-    @given(fitness_problem(), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+    @settings(max_examples=150, deadline=None)
+    @given(fitness_problem(), st.integers(1, 80), st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["lex", "random"]), st.sampled_from(TABLE_MODES),
-           st.one_of(st.none(), st.integers(0, 8)))
-    def test_matches_sequential_reference(self, problem, n, seed, order, table, chunk_bits):
-        assert run_ipe(problem, n, seed, order, table, chunk_bits) == sequential_ipe(
-            problem, n, seed, order
+           st.one_of(st.none(), st.integers(0, 8)), st.sampled_from([1, 2, None]))
+    def test_matches_sequential_reference(self, problem, n, seed, order, table, chunk_bits,
+                                          screen_rows):
+        # n above and below 2 * screen_rows: screened scans and whole-population ones
+        assert run_ipe(problem, n, seed, order, table, chunk_bits, screen_rows) == (
+            sequential_ipe(problem, n, seed, order)
         )
+
+    @pytest.mark.parametrize("table", ["built", "hidden"])
+    def test_screen_pass_failing_later_is_skipped(self, table):
+        p = context_winner_table()
+        n, seed = 8, 0
+        population = random_population(p, n, np.random.default_rng(seed))
+        # the first chromosome alone passes {0} and {2}; the others refute both
+        assert len(set(population[:, 0])) == len(set(population[:, 2])) == 2
+        got = run_ipe(p, n, seed, "lex", table, screen_rows=1)
+        assert got == sequential_ipe(p, n, seed, "lex")
+        steps = [(s["S"], s["cumulative_evaluations"]) for s in got[1]["steps"]]
+        # {0} is tested before {1} passes; {0} and {2} before {0, 2} passes
+        assert steps == [([1], 2 * n * 2), ([0, 2], 2 * n * 2 + 2 * n * 2 + n * 4)]
+        assert got[0] == (1, 1, 0)
 
     @pytest.mark.parametrize("table", ["built", "hidden"])
     @pytest.mark.parametrize("chunk_bits", [2, 3, None])
@@ -259,6 +289,18 @@ class TestBatchedIpe:
         p = OneMax(70)
         assert p.fitness_table() is None
         assert run_ipe(p, 3, 2, "random") == sequential_ipe(p, 3, 2, "random")
+
+    def test_screen_reads_fewer_rows_above_the_budget(self):
+        # 24 loci, no table: the counted evaluations are n * 2^k per subset
+        # tested, while most rows read are variants of the 16 screened
+        # chromosomes (2,319,360 rows before the screen)
+        p = CTrap(6)
+        assert p.fitness_table() is None
+        with patch.object(p, "evaluate_many", wraps=p.evaluate_many) as spy:
+            result = ipe(p, 64, 3)
+        assert result.chromosome == (1,) * 24
+        assert result.trace.evaluations == 2_242_560
+        assert sum(len(call.args[0]) for call in spy.call_args_list) < 1_000_000
 
     def test_table_built_only_when_the_scan_costs_as_much(self):
         # onemax-20, n = 8: the first scan passes after 8 * 2 of the
@@ -443,6 +485,18 @@ class TestTraceTopologicalCheck:
             ]
         )
         assert not trace_topological_check(bad, G)
+
+
+class TestPacSweep:
+    @pytest.mark.parametrize("n_values, runs, message", [
+        ([4], 0, "runs must be >= 1"),
+        ([4, 0], 2, "population size must be >= 1"),
+    ])
+    def test_refused_before_any_work(self, n_values, runs, message):
+        with patch.object(decomposition, "global_optimum", side_effect=AssertionError), \
+                patch.object(decomposition, "ipe", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=message):
+                decomposition.pac_sweep(OneMax(4), n_values, runs=runs, seed=1)
 
 
 class TestPacThreshold:
