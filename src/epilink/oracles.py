@@ -1,8 +1,8 @@
 """Brute-force ground-truth checkers: stationary optima, decomposition and
 blanket theorem verification, clique structure, and EBACC scoring;
 ``verify`` runs the theorem checks on one graph and one audit.  The
-stationary-optimum scans read the fitness table, so they refuse exactly
-what the cap or the table budget refuses."""
+stationary-optimum scans read the whole fitness table, so they refuse,
+before any scan, what the cap or ``_FULL_SCAN_MAX`` (22 loci) refuses."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .model import (
     optima_grid,
     unpack_bits,
 )
-from .problems import _TABLE_BUDGET
 from . import epistasis as _ep
 from . import graph as _graph
 
@@ -30,9 +29,6 @@ class Claim:
     name: str
     status: str  # "pass" | "fail" | "not-applicable"
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"claim": self.name, "status": self.status, "detail": self.detail}
 
 
 @dataclass
@@ -55,13 +51,6 @@ class TheoremReport:
     def add_na(self, name: str, detail: str = ""):
         self.claims.append(Claim(name, "not-applicable", detail))
 
-    def to_json(self) -> dict:
-        return {
-            "problem": self.problem,
-            "audited_weak_order": self.audited_weak_order,
-            "claims": [c.to_json() for c in self.claims],
-        }
-
     def summary(self) -> str:
         lines = [f"theorem report for {self.problem}"]
         if self.audited_weak_order is not None:
@@ -71,15 +60,18 @@ class TheoremReport:
         return "\n".join(lines)
 
 
+#: The most chromosomes an oracle's table scan covers: 22 loci, within
+#: every kind's table budget.
+_FULL_SCAN_MAX = 2 ** 22
+
+
 def _fitness_table(problem, cap: int) -> np.ndarray:
-    """The fitness table; refused, before any scan, when the cap refuses
-    2^size or the table does not fit its byte budget (22 loci)."""
-    if 2 ** problem.size > cap:
-        raise EnumerationCapError(2 ** problem.size, cap)
-    table = problem.fitness_table()
-    if table is None:
-        raise EnumerationCapError(2 ** problem.size, _TABLE_BUDGET // 8)
-    return table
+    """The fitness table; refused, before any scan, when the cap or else
+    ``_FULL_SCAN_MAX`` refuses 2^size."""
+    for limit in (cap, _FULL_SCAN_MAX):
+        if 2 ** problem.size > limit:
+            raise EnumerationCapError(2 ** problem.size, limit)
+    return problem.fitness_table()
 
 
 def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> bool:

@@ -16,7 +16,9 @@ from .model import bits_from_str, pack_bits
 
 FITNESS_SCALE = 2
 
-#: Bytes the dense fitness table may take: 2^22 int64 entries.
+#: Bytes the dense fitness table may take, at the table's own entry size:
+#: 2^25 entries of uint8 (every built-in block sum up to 25 loci), 2^22 of
+#: int64 (a lookup table).
 _TABLE_BUDGET = 2 ** 25
 
 
@@ -50,12 +52,12 @@ class FitnessProblem:
     Each kind states its fitness once, over permuted chromosomes ``y``
     (``y[i] = x[permutation[i]]``; the identity permutation is the
     default), and derives from that both ``raw_evaluate_many``, its rows,
-    and ``_tabulate``, its dense table; no table is built by evaluating
-    rows.  The fitness never changes after construction, but an instance
-    is not immutable: it fills two single-value caches lazily, with no
-    locking — the global optimum (``_g``) and the dense fitness table
-    (``_table``, once a caller's work pays for it).  Each worker process
-    fills its own copy.
+    and ``_tabulate``, its dense table in ``_dtype``; no table is built by
+    evaluating rows.  The fitness never changes after construction, but an
+    instance is not immutable: it fills two single-value caches lazily,
+    with no locking — the global optimum (``_g``) and the dense fitness
+    table (``_table``, once a caller's work pays for it).  Each worker
+    process fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -93,16 +95,23 @@ class FitnessProblem:
         """Dense table of scaled fitness over all 2^size chromosomes, or None.
 
         Built iff the caller's planned ``work`` in rows (None: the whole
-        table) is at least 2^size and 8 * 2^size bytes fit ``_TABLE_BUDGET``;
-        otherwise a table built earlier is returned, or None.
+        table) is at least 2^size and the table's 2^size entries fit
+        ``_TABLE_BUDGET`` bytes; otherwise a table built earlier is
+        returned, or None.  The table is in the smallest integer type that
+        holds every value of a block sum (uint8 for every built-in kind
+        within the budget), int64 for a lookup table, so a caller must cast
+        it before doing arithmetic on it; comparing its values needs none.
         """
         pays = work is None or work >= 2 ** self.size
-        if self._table is None and pays and 8 << self.size <= _TABLE_BUDGET:
+        if self._table is None and pays and self._dtype.itemsize << self.size <= _TABLE_BUDGET:
             self._table = self._tabulate()
         return self._table
 
+    #: The integer type of the table.
+    _dtype = np.dtype(np.int64)
+
     def _tabulate(self) -> np.ndarray:
-        """The int64 table ``fitness_table`` caches, indexed by chromosome."""
+        """The flat ``_dtype`` table ``fitness_table`` caches, indexed by chromosome."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -118,10 +127,9 @@ class _BlockSum(FitnessProblem):
     each block's ones (exact for blocks of up to 2^24 loci), and one
     ``take`` of the flat scaled scores, offset per block, scores them.
     Table: each block's scores are broadcast onto its axes and summed, so
-    no row is evaluated.  The table is filled in ``_dtype``, the smallest
-    integer type that holds the sum of the blocks' highest scores and so
-    every value of a plain or gated sum, which adds faster than int64; it
-    is int64 once filled.
+    no row is evaluated.  The table is filled and kept in ``_dtype``, the
+    smallest integer type that holds the sum of the blocks' highest scores
+    and so every value of a plain or gated sum.
     """
 
     def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
@@ -159,7 +167,7 @@ class _BlockSum(FitnessProblem):
         table = np.zeros((2,) * self.size, dtype=self._dtype)
         for _, score in self._block_tensors():
             table += score
-        return table.astype(np.int64).reshape(-1)
+        return table.reshape(-1)
 
 
 class _Leading(_BlockSum):
@@ -192,7 +200,7 @@ class _Leading(_BlockSum):
         for (ones, score), block in reversed(list(zip(self._block_tensors(), self._blocks))):
             table *= ones == len(block)
             table += score
-        return table.astype(np.int64).reshape(-1)
+        return table.reshape(-1)
 
 
 class OneMax(_BlockSum):

@@ -181,10 +181,11 @@ class TestVerify:
         assert "not-applicable" in out
 
     def test_decomposition_refused_before_any_scan(self, capsys):
-        # above the table budget, the refusal comes before the graph or the audit
-        from epilink import graph, problems
+        # above the oracles' table-scan limit, the refusal comes before the
+        # graph or the audit
+        from epilink import graph, oracles
 
-        with patch.object(problems, "_TABLE_BUDGET", 8 << 9), \
+        with patch.object(oracles, "_FULL_SCAN_MAX", 1 << 9), \
                 patch.object(graph, "build_eg", side_effect=AssertionError("scanned")):
             code, out, err = run(
                 capsys, "verify", "--kind", "onemax", "--l", "10", "--theorems", "decomposition"

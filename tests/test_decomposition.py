@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink import decomposition, model
+from epilink import decomposition, model, problems
 from epilink.decomposition import (
     DecompositionTrace,
     TraceStep,
@@ -295,8 +295,9 @@ class TestBatchedIpe:
         # tested, while most rows read are variants of the 16 screened
         # chromosomes (2,319,360 rows before the screen)
         p = CTrap(6)
-        assert p.fitness_table() is None
-        with patch.object(p, "evaluate_many", wraps=p.evaluate_many) as spy:
+        with patch.object(problems, "_TABLE_BUDGET", 1 << 20), \
+                patch.object(p, "evaluate_many", wraps=p.evaluate_many) as spy:
+            assert p.fitness_table() is None
             result = ipe(p, 64, 3)
         assert result.chromosome == (1,) * 24
         assert result.trace.evaluations == 2_242_560

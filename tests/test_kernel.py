@@ -180,9 +180,9 @@ class TestStreamingLayout:
     def test_fitness_table_is_every_chromosome(self):
         p = CTrap(3)
         rows = np.array([unpack_bits(i, 12) for i in range(2 ** 12)], dtype=np.uint8)
-        table = p.fitness_table()
-        assert table.dtype == np.int64
-        assert np.array_equal(table, p.evaluate_many(rows))
+        table, want = p.fitness_table(), p.evaluate_many(rows)
+        assert table.dtype == p._dtype and want.dtype == np.int64
+        assert np.array_equal(table, want)
 
     @given(st.lists(st.integers(0, 2 ** 12 - 1), min_size=1, max_size=20), st.integers(12, 16))
     def test_bit_rows_matches_unpack_bits(self, indices, width):
@@ -250,7 +250,7 @@ def rows_evaluated(problem):
 
 class TestTableRule:
     """The table is built iff the caller's planned work covers 2^size rows
-    and the table fits the byte budget."""
+    and the table, at its own entry size, fits the byte budget."""
 
     def test_small_restricted_scan_streams(self):
         p = OneMax(20)
@@ -262,10 +262,33 @@ class TestTableRule:
 
     def test_budget(self):
         assert OneMax(21).fitness_table().shape == (2 ** 21,)
-        assert OneMax(23).fitness_table() is None
-        with patch.object(problems, "_TABLE_BUDGET", 8 << 8):
+        assert OneMax(26).fitness_table() is None  # 2^26 uint8 entries: 64 MiB
+        with patch.object(problems, "_TABLE_BUDGET", 1 << 21):
+            assert OneMax(22).fitness_table() is None
+
+    def test_budget_counts_the_tables_own_bytes(self):
+        # 2^8 uint8 entries of a block sum, or 2^5 int64 ones of a lookup table
+        with patch.object(problems, "_TABLE_BUDGET", 1 << 8):
             assert OneMax(8).fitness_table().shape == (2 ** 8,)
             assert OneMax(9).fitness_table() is None
+            assert LookupTable(list(range(2 ** 5))).fitness_table().shape == (2 ** 5,)
+            assert LookupTable(list(range(2 ** 6))).fitness_table() is None
+
+    @pytest.mark.parametrize("top, dtype", [(45, np.uint8), (45.5, np.uint16)])
+    @pytest.mark.parametrize("cls", [problems._BlockSum, problems._Leading])
+    def test_table_at_the_edge_of_its_dtype(self, cls, top, dtype):
+        # scaled block maxima 110 + 55 + 2 * top: 255 fits uint8, 256 does
+        # not; each block's maximum is at all ones, so the optimum is unique
+        blocks = [[0, 1, 2], [3, 4], [1, 3, 5]]
+        scores = [(50, 20, 10, 55), (20, 0, 27.5), (40, 30, 0, top)]
+        streamed, tabled = cls("edge", 6, blocks, scores), cls("edge", 6, blocks, scores)
+        table = tabled.fitness_table()
+        assert table.dtype == dtype and int(table.max()) == 110 + 55 + 2 * top
+        assert np.array_equal(table, model.completion_fitness(tabled, EMPTY))
+        with patch.object(problems, "_TABLE_BUDGET", 1), rows_evaluated(streamed) as spy:
+            G = build_eg(streamed)
+        assert streamed.fitness_table(0) is None and spy.called
+        assert G == build_eg(tabled) == brute_force_eg(streamed, (1,) * 6)
 
     def test_work_below_the_table_builds_nothing(self):
         p = CTrap(2)

@@ -25,7 +25,9 @@ from epilink.oracles import (
     verify_decomposition_theorem,
 )
 from epilink import oracles
-from epilink.problems import CTrap, CycTrap, LeadingOnes, LeadingTraps, LookupTable, OneMax
+from epilink.problems import (
+    CTrap, CycTrap, LeadingOnes, LeadingTraps, LookupTable, OneMax, make_problem,
+)
 
 
 def indicator(c):
@@ -220,7 +222,7 @@ class TestMinimumStationaryOptimumSearch:
         # every subset of OneMax survives the prefilter, yet the walk ends
         # after the singletons: the call's peak stays under two tables
         problem = OneMax(20)
-        table = problem.fitness_table()
+        problem.fitness_table()
         global_optimum(problem)
         tracemalloc.start()
         try:
@@ -229,7 +231,7 @@ class TestMinimumStationaryOptimumSearch:
         finally:
             tracemalloc.stop()
         assert found == tuple(Assignment(((v, 1),)) for v in range(20))
-        assert peak < 2 * table.nbytes
+        assert peak < 2 * (8 << 20)  # two int64 tables
 
 
 class TestDecompositionTheorem:
@@ -254,9 +256,8 @@ class TestDecompositionTheorem:
 
     def test_report_serialization(self, ctrap8):
         report = decomposition_report(ctrap8, 2)
-        payload = report.to_json()
-        assert payload["problem"] == ctrap8.name
-        assert all(c["status"] == "pass" for c in payload["claims"])
+        assert report.problem == ctrap8.name
+        assert all(c.status == "pass" for c in report.claims)
         assert "theorem report" in report.summary()
 
 
@@ -304,11 +305,30 @@ class TestCliqueStructure:
         report = verify_clique_structure(CycTrap(5), build_eg(CycTrap(5)))
         cliques = [c.name for c in report.claims if "clique" in c.name]
         assert cliques == [f"SCC {[v, v + 1]} is a bidirectional clique" for v in (1, 4, 7, 10, 13)]
+        # the size claim fails here too (ROADMAP item 4)
+        assert (report.claims[-1].status, report.claims[-1].detail) == ("fail", "k_scc=2, k_in=3")
 
     def test_onemax_vacuous(self, onemax8):
         report = verify_clique_structure(onemax8, build_eg(onemax8))
         assert report.ok
         assert any("vacuously" in c.name for c in report.claims)
+
+    # ROADMAP item 4: the size claim fails whenever a locus outside an SCC
+    # points into it.  On this 3-locus table SCC {0, 1} is a clique and
+    # locus 2 points into it, with no weak epistasis at any order.
+    COUNTEREXAMPLE = {"kind": "lookup-table", "table": [4, 2, 3, 0, 2, 0, 20, 0]}
+
+    def test_size_claim_fails_on_a_strict_graph(self):
+        [report] = verify(make_problem(self.COUNTEREXAMPLE), ["clique"], 2)
+        assert [(c.status, c.name, c.detail) for c in report.claims] == [
+            ("pass", "SCC [0, 1] is a bidirectional clique", ""),
+            ("fail", "max SCC size == max in-degree + 1", "k_scc=2, k_in=2"),
+        ]
+
+    def test_counterexample_passes_the_decomposition_theorem(self):
+        [report] = verify(make_problem(self.COUNTEREXAMPLE), ["decomposition"], 2)
+        assert report.applicable and len(report.claims) == 6
+        assert all(c.status == "pass" for c in report.claims)
 
 
 class TestVerify:
@@ -339,8 +359,8 @@ class TestVerify:
         assert (eg.call_count, audit.call_count) == (1, audits)
 
     def test_cap_named_before_the_budget(self):
-        # a cap above the budget's 16 entries that refuses 2^10 rows is named
-        with mock.patch.object(oracles, "_TABLE_BUDGET", 8 << 4), \
+        # a cap above the oracles' limit of 16 rows that refuses 2^10 is named
+        with mock.patch.object(oracles, "_FULL_SCAN_MAX", 1 << 4), \
                 mock.patch.object(graph, "build_eg", side_effect=AssertionError("scanned")):
             with pytest.raises(EnumerationCapError, match="cap of 256$"):
                 verify(OneMax(10), oracles.THEOREMS, cap=256)

@@ -333,9 +333,9 @@ class TestDerivedFitness:
     @given(case=tabulated_kinds())
     def test_table_is_every_row(self, case):
         problem, _ = case
-        table = problem.fitness_table()
-        assert table.dtype == np.int64
-        assert np.array_equal(table, completion_fitness(problem, EMPTY))
+        table, rows = problem.fitness_table(), completion_fitness(problem, EMPTY)
+        assert table.dtype == problem._dtype and rows.dtype == np.int64
+        assert np.array_equal(table, rows)
 
     @settings(max_examples=80, deadline=None)
     @given(case=tabulated_kinds(max_size=40), seed=st.integers(0, 2 ** 32 - 1))
@@ -350,7 +350,7 @@ class TestDerivedFitness:
     @given(case=tabulated_kinds())
     def test_streamed_rows_above_the_budget(self, case):
         problem, formula = case
-        with patch.object(problems, "_TABLE_BUDGET", 8 << 2), \
+        with patch.object(problems, "_TABLE_BUDGET", 1 << 2), \
                 patch.object(model, "_STREAM_BITS", 2):
             assert problem.size <= 2 or problem.fitness_table() is None
             streamed = completion_fitness(problem, EMPTY)
@@ -378,11 +378,23 @@ class TestTableEvaluatesNoRow:
         problem = cls(20)
         tracemalloc.start()
         try:
-            table = problem.fitness_table()
+            problem.fitness_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * table.nbytes
+        assert peak < 1.5 * (8 << 20)  # one and a half int64 tables
+
+    def test_optimum_above_22_loci_peaks_below_48_mib(self):
+        # cyctrap m8 (24 loci) reads its 16 MiB uint8 table
+        problem = CycTrap(8)
+        tracemalloc.start()
+        try:
+            g = global_optimum(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == (1,) * 24 and problem.fitness_table(0) is not None
+        assert peak < 48 << 20
 
 
 class TestLookupTable:
