@@ -119,7 +119,10 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
     from the fitness table, else one ``evaluate_many`` call over the variant
     rows.  The scan's planned work for ``fitness_table`` is all of it,
     n * 2^k * subsets rows, so a scan never enumerates the search space
-    where testing the subsets would not.
+    where testing the subsets would not.  A chunk's screen holds up to
+    2^``_CHUNK_BITS`` fitness values; without a table the first chunk is
+    one subset and each next one twice the last, so a scan that passes
+    early evaluates few rows it does not count.
     """
     n, size = population.shape
     k = subsets.shape[1]
@@ -151,8 +154,10 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
 
     cut = _SCREEN_ROWS if n > 2 * _SCREEN_ROWS else n
     screen, rest = rows[:cut], rows[cut:]
-    step = max(1, (1 << _CHUNK_BITS) // (len(screen) << k))
-    for start in range(0, len(subsets), step):
+    most = max(1, (1 << _CHUNK_BITS) // (len(screen) << k))
+    step = most if table is not None else 1
+    start = 0
+    while start < len(subsets):
         chunk = subsets[start:start + step]
         screened = hits(screen, chunk)
         for j in (screened.max(axis=0) == screened.sum(axis=0)).nonzero()[0]:
@@ -162,6 +167,8 @@ def _first_pass(problem, population: np.ndarray, subsets: np.ndarray) -> tuple[i
                 if checked[winner] != checked.sum():
                     continue
             return start + int(j) + 1, winner
+        start += len(chunk)
+        step = min(2 * step, most)
     return len(subsets), None
 
 

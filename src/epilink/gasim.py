@@ -9,6 +9,13 @@ one fitness call for the whole stack, and applies uniform crossover in
 place with XOR.  Each run draws in the order a lone run would, so every
 result depends only on the seed, never on the block size.
 
+A run's draws for one generation come from one ``random_raw`` read of
+its ``default_rng`` (PCG64) generator, decoded into exactly the numbers
+numpy's ``integers`` and ``random`` calls would give (``_draws``); a
+generator of another bit generator is refused.  Where numpy's bounded
+draw would reject a word and draw again, the words are given back and
+that run's generation is drawn with numpy's own calls.
+
 ``generational_observability`` spreads its blocks over forked worker
 processes, one per CPU this process may run on: each worker evolves a
 contiguous share of whole blocks, and the witness counts are summed, so
@@ -73,28 +80,136 @@ def _block_runs(population_size: int, width: int) -> int:
     return max(1, _BLOCK_ALLELES // max(1, population_size * width))
 
 
-def _draws(rng: np.random.Generator, n: int, width: int, config: GaConfig):
-    """One run's random draws for one generation, in a fixed order.
+class _Stream:
+    """One run's ``default_rng`` (PCG64) generator, read as raw 64-bit words.
 
-    Tournament entrants ``ab`` (``a`` then ``b``) and tie coins; per-pair
-    crossover flags folded into the uniform-crossover mask ``swap``;
-    mutation ``flips``.  None of them depends on the population.  Each
-    bounded draw takes one 32-bit word per value, so the one call for
-    ``ab`` reads the same numbers, and leaves the generator in the same
-    state, as one call each for ``a`` and ``b``; an int32 draw of range 2
-    reads the words an int64 one does (a uint8 or bool draw would not).
+    numpy makes a 32-bit value from the low half of a fresh word and
+    buffers the high half for the next one (``has_uint32`` and
+    ``uinteger`` in the state).  ``random()`` and ``random_raw`` read whole
+    words and leave that half alone.  The stream carries it in ``spare``
+    (``None`` when there is none), so the generator's own copy is stale
+    until ``store``.
     """
+
+    __slots__ = ("rng", "spare")
+
+    def __init__(self, seed):
+        # default_rng returns a Generator it is given unaltered
+        self.rng = np.random.default_rng(seed)
+        if self.rng.bit_generator.state["bit_generator"] != "PCG64":
+            raise TypeError("the GA decodes PCG64 words, as default_rng makes")
+        self.load()
+
+    def load(self) -> None:
+        """Take ``spare`` from the generator's state."""
+        state = self.rng.bit_generator.state
+        self.spare = np.uint32(state["uinteger"]) if state["has_uint32"] else None
+
+    def store(self) -> None:
+        """Write ``spare`` into the generator's state."""
+        bitgen = self.rng.bit_generator
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = (0, 0) if self.spare is None else (1, int(self.spare))
+        bitgen.state = state
+
+    def take(self, words: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit values: ``spare``, then each of
+        ``words`` low half first; an unused last half is the new ``spare``."""
+        halves = words.astype("<u8", copy=False).view("<u4")
+        if self.spare is not None:
+            halves = np.concatenate(([self.spare], halves))
+        self.spare = halves[count] if len(halves) > count else None
+        return halves[:count]
+
+
+def _words(count: int, buffered: bool) -> int:
+    """Fresh words numpy reads for ``count`` 32-bit values, the first of
+    them the buffered half if there is one; a half is left over iff
+    ``count + buffered`` is odd."""
+    return (count - buffered + 1) // 2
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """``random() < p`` of the doubles numpy makes from ``words``:
+    ``random()`` is ``(word >> 11) * 2**-53``, so it is below ``p`` iff the
+    word is below ``ceil(p * 2**53) << 11``, and always when ``p`` is 1."""
+    bound = math.ceil(p * 2 ** 53)
+    if bound == 2 ** 53:
+        return np.ones(len(words), dtype=bool)
+    return words < np.uint64(bound << 11)
+
+
+def _population(stream: _Stream, n: int, width: int) -> np.ndarray:
+    """A run's uniform (n, width) uint8 population, as
+    ``integers(0, 2, size=(n, width), dtype=np.uint8)`` draws it: one
+    32-bit value per four alleles, low byte first, each allele the top bit
+    of its byte; the unused bytes of the last value are dropped."""
+    size = n * width
+    count = -(-size // 4)
+    words = stream.rng.bit_generator.random_raw(_words(count, stream.spare is not None))
+    halves = stream.take(words, count).astype("<u4", copy=False)
+    return (halves.view(np.uint8)[:size] >> 7).reshape(n, width)
+
+
+def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
+    """One run's random draws for one generation, decoded from one
+    ``random_raw`` read of exactly the words numpy's calls would read.
+
+    In order, as the plain per-run loop draws them: tournament entrants
+    ``ab`` (``a`` then ``b``, ``integers(0, n)``) and tie coins
+    (``integers(0, 2)``), one 32-bit value each; per-pair crossover flags
+    (``random() < p``, one word each) folded into the uniform-crossover
+    mask ``swap`` (``integers(0, 2)``, one 32-bit value per bit); mutation
+    ``flips`` (``random() < p``).  None of them depends on the population.
+    numpy's bounded draw is Lemire's: an entrant is ``(u * n) >> 32`` of a
+    32-bit value ``u``, and a coin or mask bit is the top bit of ``u``.  A
+    range of one (n = 1) reads no value.  Lemire rejects ``u`` and draws
+    again when the low 32 bits of ``u * n`` fall below ``2**32 % n``
+    (about once per 200-run GA command at n = 500); then the words are
+    given back and the run's generation is drawn with numpy's own calls.
+    """
+    half = n // 2
+    entrants = 2 * n if n > 1 else 0
+    carried = stream.spare
+    buffered = carried is not None
+    head = _words(entrants + n, buffered)
+    body = head + half + _words(half * width, (entrants + n + buffered) % 2)
+    words = stream.rng.bit_generator.random_raw(body + n * width)
+    values = stream.take(words[:head], entrants + n)
+    scaled = np.multiply(values[:entrants], n, dtype=np.uint64)
+    if entrants and scaled.astype(np.uint32).min() < 2 ** 32 % n:
+        stream.rng.bit_generator.advance(-len(words))
+        stream.spare = carried
+        return _numpy_draws(stream, n, width, config)
+    ab = scaled >> 32 if entrants else np.zeros(2, dtype=np.uint64)
+    coin = values[entrants:] >= 2 ** 31
+    cross = _below(words[head:head + half], config.crossover_prob)
+    swap = (stream.take(words[head + half:body], half * width) >= 2 ** 31).reshape(half, width)
+    swap[~cross] = False
+    flips = _below(words[body:], config.mutation_prob).reshape(n, width)
+    return ab, coin, swap, flips
+
+
+def _numpy_draws(stream: _Stream, n: int, width: int, config: GaConfig):
+    """``_draws`` with numpy's own calls, which redraw a rejected value.
+    The one call for ``ab`` reads the same numbers, and leaves the
+    generator in the same state, as one call each for ``a`` and ``b``; an
+    int32 draw of range 2 reads the words an int64 one does (a uint8 or
+    bool draw would not)."""
+    stream.store()
+    rng = stream.rng
     half = n // 2
     ab = rng.integers(0, n, size=2 * n)
     coin = rng.integers(0, 2, size=n, dtype=np.int32) != 0
     cross = rng.random(half) < config.crossover_prob
     swap = (rng.integers(0, 2, size=(half, width), dtype=np.int32) != 0) & cross[:, None]
     flips = rng.random((n, width)) < config.mutation_prob
+    stream.load()
     return ab, coin, swap, flips
 
 
-def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.ndarray:
-    """One generation for a (runs, n, loci) stack; run ``r`` draws from ``rngs[r]``.
+def _next_generation(problem, pops: np.ndarray, streams, config: GaConfig) -> np.ndarray:
+    """One generation for a (runs, n, loci) stack; run ``r`` draws from ``streams[r]``.
 
     Binary tournament (strict winner kept, ties by coin), uniform
     crossover of consecutive pool members (an odd last member passes
@@ -106,14 +221,15 @@ def _next_generation(problem, pops: np.ndarray, rngs, config: GaConfig) -> np.nd
     coin = np.empty((runs, n), dtype=bool)
     swap = np.empty((runs, half, width), dtype=bool)
     flips = np.empty((runs, n, width), dtype=bool)
-    for r, rng in enumerate(rngs):
-        ab[r], coin[r], swap[r], flips[r] = _draws(rng, n, width, config)
+    for r, stream in enumerate(streams):
+        ab[r], coin[r], swap[r], flips[r] = _draws(stream, n, width, config)
     rows = pops.reshape(runs * n, width)
     fits = problem.evaluate_many(rows)
     ab += n * np.arange(runs)[:, None]
     a, b = ab[:, :n], ab[:, n:]
-    fa, fb = fits[a], fits[b]
-    children = rows[np.where((fa > fb) | ((fa == fb) & coin), a, b)]
+    fa, fb = fits.take(a), fits.take(b)
+    # ``take`` copies each row as one block, faster than ``rows[...]``
+    children = rows.take(np.where((fa > fb) | ((fa == fb) & coin), a, b), axis=0)
     first = children[:, 0:2 * half:2]
     second = children[:, 1:2 * half:2]
     d = (first ^ second) & swap
@@ -164,21 +280,19 @@ def _points(targets, n: int, hits: np.ndarray, runs: int) -> list[ObservabilityP
 
 
 def _run_hits(problem, targets, config: GaConfig | None, n: int, generations: int,
-              rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """(targets, generations + 1) witness counts of one run per generator in
-    ``rngs``, evolved block by block; a generator listed more than once
-    serves those runs one after another.  ``rngs`` is read a block at a
-    time, so a lazy one makes each generator only when its block starts.
+              streams: Iterable[_Stream]) -> np.ndarray:
+    """(targets, generations + 1) witness counts of one run per stream in
+    ``streams``, evolved block by block; a stream listed more than once
+    serves those runs one after another.  ``streams`` is read a block at a
+    time, so a lazy one makes each stream only when its block starts.
     ``config`` only feeds ``_next_generation``, unused at 0 generations.
     """
     hits = np.zeros((len(targets), generations + 1), dtype=np.int64)
     width = problem.size
     step = _block_runs(n, width)
-    rngs = iter(rngs)
-    while block := list(islice(rngs, step)):
-        # one call per run: a uint8 draw discards its unused random bytes
-        # at the end of each call, so one merged call would differ
-        pops = np.stack([rng.integers(0, 2, size=(n, width), dtype=np.uint8) for rng in block])
+    streams = iter(streams)
+    while block := list(islice(streams, step)):
+        pops = np.stack([_population(stream, n, width) for stream in block])
         for gen in range(generations + 1):
             hits[:, gen] += _witness_counts(pops, targets)
             if gen < generations:
@@ -201,10 +315,10 @@ def initial_observability(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    rng = np.random.default_rng(seed)
+    stream = _Stream(seed)
     out = []
     for n in population_sizes:
-        out += _points(targets, n, _run_hits(problem, targets, None, n, 0, repeat(rng, runs)), runs)
+        out += _points(targets, n, _run_hits(problem, targets, None, n, 0, repeat(stream, runs)), runs)
     return out
 
 
@@ -237,7 +351,7 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
             pids.append(pid)
             pipes.append(os.fdopen(read, "rb"))
         hits = _run_hits(problem, targets, config, config.population_size,
-                         config.generations, map(np.random.default_rng, shares[0]))
+                         config.generations, map(_Stream, shares[0]))
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -258,7 +372,7 @@ def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray
     try:
         with os.fdopen(write, "wb") as pipe:
             hits = _run_hits(problem, targets, config, config.population_size,
-                             config.generations, map(np.random.default_rng, seeds))
+                             config.generations, map(_Stream, seeds))
             pipe.write(hits.tobytes())
         code = 0
     except BaseException:

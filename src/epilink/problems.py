@@ -150,24 +150,42 @@ class _BlockSum(FitnessProblem):
         # a product with ones sums these short rows faster than sum(axis=1)
         return self._scores.take(index) @ np.ones(len(self._blocks), dtype=np.int64)
 
-    def _block_tensors(self):
-        """Each block's number of ones (uint8) and scaled score (``_dtype``),
-        as tensors broadcast over the table axes its loci read."""
+    def _block_ones(self):
+        """Each block's number of ones, as a ``_dtype`` tensor broadcast over
+        the table axes its loci read (every ``_dtype`` holds 255, and a
+        table has far fewer loci), and the block's scaled scores."""
         axes = range(self.size)
         perm = self.permutation or axes
         # the allele at locus v, as a tensor along the table's axis v
-        allele = [np.arange(2, dtype=np.uint8).reshape([2 if w == v else 1 for w in axes])
+        allele = [np.arange(2, dtype=self._dtype).reshape([2 if w == v else 1 for w in axes])
                   for v in axes]
         scores = self._scores.astype(self._dtype)
         for block, offset in zip(self._blocks, self._offsets):
-            ones = sum(allele[perm[i]] for i in block)
-            yield ones, scores[offset:offset + len(block) + 1][ones]
+            read = {perm[i] for i in block}
+            ones = np.zeros([2 if v in read else 1 for v in axes], dtype=self._dtype)
+            for i in block:
+                ones += allele[perm[i]]
+            yield ones, scores[offset:offset + len(block) + 1]
 
     def _tabulate(self):
         table = np.zeros((2,) * self.size, dtype=self._dtype)
-        for _, score in self._block_tensors():
-            table += score
+        for ones, scores in self._block_ones():
+            table += _score_in_place(ones, scores)
         return table.reshape(-1)
+
+
+#: Entries scored per gather in ``_score_in_place``.
+_SCORE_SLICE = 2 ** 12
+
+
+def _score_in_place(ones: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``scores[ones]``, written over the contiguous tensor ``ones`` a slice
+    at a time, so that a block spanning every locus costs no second tensor
+    of the table's size."""
+    flat = ones.reshape(-1)
+    for lo in range(0, len(flat), _SCORE_SLICE):
+        flat[lo:lo + _SCORE_SLICE] = scores[flat[lo:lo + _SCORE_SLICE]]
+    return ones
 
 
 class _Leading(_BlockSum):
@@ -197,9 +215,9 @@ class _Leading(_BlockSum):
 
     def _tabulate(self):
         table = np.zeros((2,) * self.size, dtype=self._dtype)
-        for (ones, score), block in reversed(list(zip(self._block_tensors(), self._blocks))):
+        for (ones, scores), block in reversed(list(zip(self._block_ones(), self._blocks))):
             table *= ones == len(block)
-            table += score
+            table += _score_in_place(ones, scores)
         return table.reshape(-1)
 
 

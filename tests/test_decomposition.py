@@ -303,6 +303,17 @@ class TestBatchedIpe:
         assert result.trace.evaluations == 2_242_560
         assert sum(len(call.args[0]) for call in spy.call_args_list) < 1_000_000
 
+    def test_rowwise_scan_evaluates_only_the_counted_rows(self):
+        # onemax-24, n = 8, no table: each of the 24 scans passes on its
+        # first subset, so the 24 * 8 * 2 counted evaluations are all the
+        # rows evaluated (a whole first chunk would have read 4,800)
+        p = OneMax(24)
+        with patch.object(p, "evaluate_many", wraps=p.evaluate_many) as spy:
+            result = ipe(p, 8, 3)
+        assert result.chromosome == (1,) * 24 and p.fitness_table(0) is None
+        assert result.trace.evaluations == 384
+        assert sum(len(call.args[0]) for call in spy.call_args_list) == 384
+
     def test_table_built_only_when_the_scan_costs_as_much(self):
         # onemax-20, n = 8: the first scan passes after 8 * 2 of the
         # 8 * 2 * 20 evaluations it could take, far below 2^20

@@ -24,11 +24,11 @@ from epilink.problems import OneMax, OneMaxPrimeConcat, weak_observability_probl
 def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarray]:
     """One seeded run, a stack of one run; returns per-generation population
     snapshots (index 0 is the uniform random initial population)."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    pops = rng.integers(0, 2, size=(1, config.population_size, problem.size), dtype=np.uint8)
+    stream = gasim._Stream(config.seed if seed is None else seed)
+    pops = gasim._population(stream, config.population_size, problem.size)[None]
     snapshots = [pops[0]]
     for _ in range(config.generations):
-        pops = _next_generation(problem, pops, [rng], config)
+        pops = _next_generation(problem, pops, [stream], config)
         snapshots.append(pops[0])
     return snapshots
 
@@ -93,8 +93,7 @@ class TestRunGa:
         p = OneMax(8)
         cfg = GaConfig(16, 1, crossover_prob=0.0, mutation_prob=0.0, seed=0)
         pop = np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), (16, 1))
-        rng = np.random.default_rng(9)
-        child = _next_generation(p, pop[None].copy(), [rng], cfg)
+        child = _next_generation(p, pop[None].copy(), [gasim._Stream(9)], cfg)
         assert (child == pop).all()
 
     def test_onemax_selection_pressure(self):
@@ -412,24 +411,110 @@ class TestWorkers:
         assert 1 <= gasim._cpus() <= (os.cpu_count() or 1)
 
 
-class TestDraws:
-    """The merged draws read the same random numbers as one call per array,
-    and leave each generator in the same state."""
+def _buffer_a_half(rng):
+    """Draw one 32-bit value, so that a generator fresh from a seed holds
+    the high half of its first word."""
+    rng.integers(0, 2, dtype=np.int32)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 600), st.integers(1, 30), st.sampled_from(_PROBS),
-           st.integers(0, 2 ** 32 - 1))
-    @example(1, 1, (0.9, 0.01), 0)
-    @example(599, 25, (0.9, 0.01), 1)
-    @example(600, 30, (1.0, 0.3), 2)
-    def test_same_stream_as_one_call_each(self, n, width, probs, seed):
+
+def _assert_same_state(stream, rng):
+    """The stream's generator and its carried half are ``rng``'s state."""
+    state = rng.bit_generator.state
+    assert stream.rng.bit_generator.state["state"] == state["state"]
+    assert stream.spare == (state["uinteger"] if state["has_uint32"] else None)
+
+
+class TestDraws:
+    """The raw-word decoder reads the same random numbers as numpy's calls,
+    one per array, and leaves each generator, and its buffered half, in the
+    same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([1, 2, 3, 500, 599]), st.integers(1, 600)),
+           st.integers(1, 30), st.sampled_from(_PROBS), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    @example(1, 1, (0.9, 0.01), 0, False)
+    @example(1, 1, (0.9, 0.01), 0, True)
+    @example(2, 3, (0.0, 0.0), 3, True)
+    @example(599, 25, (0.9, 0.01), 1, False)
+    @example(600, 30, (1.0, 0.3), 2, True)
+    def test_same_stream_as_one_call_each(self, n, width, probs, seed, buffered):
         config = GaConfig(n, 1, *probs)
         mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        ab, coin, swap, flips = gasim._draws(mine, n, width, config)
+        if buffered:
+            _buffer_a_half(mine)
+            _buffer_a_half(theirs)
+        stream = gasim._Stream(mine)
+        assert (stream.spare is not None) == buffered
+        ab, coin, swap, flips = gasim._draws(stream, n, width, config)
         a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width, config)
         assert np.array_equal(ab, np.concatenate([a, b]))
         assert coin.dtype == swap.dtype == flips.dtype == bool
         assert np.array_equal(coin, coin_ref)
         assert np.array_equal(swap, swap_ref)
         assert np.array_equal(flips, flips_ref)
-        assert mine.bit_generator.state == theirs.bit_generator.state
+        _assert_same_state(stream, theirs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @example(0, 25, 0, True)
+    @example(1, 1, 0, True)
+    def test_population_is_numpy_uint8_draw(self, n, width, seed, buffered):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            _buffer_a_half(mine)
+            _buffer_a_half(theirs)
+        stream = gasim._Stream(mine)
+        pop = gasim._population(stream, n, width)
+        ref = theirs.integers(0, 2, size=(n, width), dtype=np.uint8)
+        assert pop.dtype == ref.dtype and pop.shape == ref.shape
+        assert np.array_equal(pop, ref)
+        _assert_same_state(stream, theirs)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_lemire_redraw_falls_back_to_numpy(self, buffered):
+        # the low half of word 3,144,596 of seed 1 lies in the rejection
+        # zone of a draw from [0, 500): the low 32 bits of its product
+        # with 500 are below 2**32 % 500 = 296
+        config = GaConfig(500, 1)
+        mine, theirs = np.random.default_rng(1), np.random.default_rng(1)
+        for rng in (mine, theirs):
+            rng.bit_generator.advance(3144596 - buffered)
+            if buffered:
+                _buffer_a_half(rng)
+        stream = gasim._Stream(mine)
+        fallback = gasim._numpy_draws
+        with patch.object(gasim, "_numpy_draws", side_effect=fallback) as spy:
+            ab, coin, swap, flips = gasim._draws(stream, 500, 25, config)
+        assert spy.call_count == 1
+        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, 500, 25, config)
+        assert np.array_equal(ab, np.concatenate([a, b]))
+        assert np.array_equal(coin, coin_ref)
+        assert np.array_equal(swap, swap_ref)
+        assert np.array_equal(flips, flips_ref)
+        _assert_same_state(stream, theirs)
+
+    def test_redraw_in_a_block_of_runs(self, problem25, targets25):
+        # GA seed 5 draws one Lemire redraw in its first 200 runs, in run
+        # 26 at generation 8; that run goes on with the other buffered-half
+        # parity from the rest of its block of 5
+        config = GaConfig(500, 10, runs=30, seed=5)
+        fallback = gasim._numpy_draws
+        with patch.object(gasim, "_numpy_draws", side_effect=fallback) as spy, \
+                patch.object(gasim, "_cpus", return_value=1):
+            points = generational_observability(problem25, targets25, config)
+        assert spy.call_count == 1
+        assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
+
+    @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 0.01, 0.3, 0.9, 1 - 2.0 ** -53, 1.0])
+    def test_below_is_random_below_p(self, p):
+        # words on both sides of the bound, and the extremes
+        edge = min(math.ceil(p * 2 ** 53), 2 ** 53 - 1) << 11
+        words = np.array([w % 2 ** 64 for w in (0, 1, edge - 1, edge, edge + 1, edge + 2047,
+                                                 edge + 2048, 2 ** 64 - 1)], dtype=np.uint64)
+        doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert np.array_equal(gasim._below(words, p), doubles < p)
+
+    def test_needs_pcg64(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            gasim._Stream(np.random.Generator(np.random.MT19937(0)))

@@ -384,6 +384,19 @@ class TestTableEvaluatesNoRow:
             tracemalloc.stop()
         assert peak < 1.5 * (8 << 20)  # one and a half int64 tables
 
+    def test_block_over_every_locus_peaks_at_two_tables(self):
+        # the block's ones count is scored in place: the table and that
+        # tensor, and one slice's gather
+        problem = OneMax(20)
+        tracemalloc.start()
+        try:
+            table = problem.fitness_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 1 << 20
+        assert peak < 2 * table.nbytes + (128 << 10)
+
     def test_optimum_above_22_loci_peaks_below_48_mib(self):
         # cyctrap m8 (24 loci) reads its 16 MiB uint8 table
         problem = CycTrap(8)
