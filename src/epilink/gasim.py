@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,16 +139,18 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return words < np.uint64(bound << 11)
 
 
-def _population(stream: _Stream, n: int, width: int) -> np.ndarray:
-    """A run's uniform (n, width) uint8 population, as
-    ``integers(0, 2, size=(n, width), dtype=np.uint8)`` draws it: one
-    32-bit value per four alleles, low byte first, each allele the top bit
-    of its byte; the unused bytes of the last value are dropped."""
+def _populations(stream: _Stream, runs: int, n: int, width: int) -> np.ndarray:
+    """``runs`` uniform (n, width) uint8 populations drawn one after another
+    from ``stream``, each as ``integers(0, 2, size=(n, width),
+    dtype=np.uint8)`` draws it: one 32-bit value per four alleles, low byte
+    first, each allele the top bit of its byte; the unused bytes of each
+    population's last value are dropped."""
     size = n * width
     count = -(-size // 4)
-    words = stream.rng.bit_generator.random_raw(_words(count, stream.spare is not None))
-    halves = stream.take(words, count).astype("<u4", copy=False)
-    return (halves.view(np.uint8)[:size] >> 7).reshape(n, width)
+    words = stream.rng.bit_generator.random_raw(_words(runs * count, stream.spare is not None))
+    halves = stream.take(words, runs * count).astype("<u4", copy=False)
+    alleles = halves.view(np.uint8).reshape(runs, 4 * count)[:, :size] >> 7
+    return alleles.reshape(runs, n, width)
 
 
 def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
@@ -176,7 +178,7 @@ def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
     body = head + half + _words(half * width, (entrants + n + buffered) % 2)
     words = stream.rng.bit_generator.random_raw(body + n * width)
     values = stream.take(words[:head], entrants + n)
-    scaled = np.multiply(values[:entrants], n, dtype=np.uint64)
+    scaled = values[:entrants].astype(np.uint64) * n
     if entrants and scaled.astype(np.uint32).min() < 2 ** 32 % n:
         stream.rng.bit_generator.advance(-len(words))
         stream.spare = carried
@@ -292,7 +294,9 @@ def _run_hits(problem, targets, config: GaConfig | None, n: int, generations: in
     step = _block_runs(n, width)
     streams = iter(streams)
     while block := list(islice(streams, step)):
-        pops = np.stack([_population(stream, n, width) for stream in block])
+        # the consecutive runs of one stream draw their populations at once
+        pops = np.concatenate([_populations(stream, sum(1 for _ in runs), n, width)
+                               for stream, runs in groupby(block)])
         for gen in range(generations + 1):
             hits[:, gen] += _witness_counts(pops, targets)
             if gen < generations:

@@ -25,7 +25,7 @@ def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarra
     """One seeded run, a stack of one run; returns per-generation population
     snapshots (index 0 is the uniform random initial population)."""
     stream = gasim._Stream(config.seed if seed is None else seed)
-    pops = gasim._population(stream, config.population_size, problem.size)[None]
+    pops = gasim._populations(stream, 1, config.population_size, problem.size)
     snapshots = [pops[0]]
     for _ in range(config.generations):
         pops = _next_generation(problem, pops, [stream], config)
@@ -456,19 +456,22 @@ class TestDraws:
         _assert_same_state(stream, theirs)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 40), st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.booleans())
-    @example(0, 25, 0, True)
-    @example(1, 1, 0, True)
-    def test_population_is_numpy_uint8_draw(self, n, width, seed, buffered):
+    @given(st.integers(1, 4), st.integers(0, 40), st.integers(1, 30),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @example(3, 0, 25, 0, True)
+    @example(1, 1, 1, 0, True)
+    @example(2, 1, 1, 0, False)
+    def test_populations_are_numpy_uint8_draws(self, runs, n, width, seed, buffered):
         mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         if buffered:
             _buffer_a_half(mine)
             _buffer_a_half(theirs)
         stream = gasim._Stream(mine)
-        pop = gasim._population(stream, n, width)
-        ref = theirs.integers(0, 2, size=(n, width), dtype=np.uint8)
-        assert pop.dtype == ref.dtype and pop.shape == ref.shape
-        assert np.array_equal(pop, ref)
+        pops = gasim._populations(stream, runs, n, width)
+        ref = np.stack([theirs.integers(0, 2, size=(n, width), dtype=np.uint8)
+                        for _ in range(runs)])
+        assert pops.dtype == ref.dtype and pops.shape == ref.shape
+        assert np.array_equal(pops, ref)
         _assert_same_state(stream, theirs)
 
     @pytest.mark.parametrize("buffered", [False, True])
