@@ -5,8 +5,8 @@ Both sweeps run through one block loop, ``_run_hits``: the
 fresh-population sweep is its generation 0.  Runs evolve in blocks: a
 (runs, population, loci) uint8 stack of at most ``_BLOCK_ALLELES``
 alleles, and at least one run, takes one vectorised generation step with
-one fitness call for the whole stack, and applies uniform crossover in
-place with XOR.  Each run draws in the order a lone run would, so every
+one fitness call for the whole stack, and applies uniform crossover
+with XOR.  Each run draws in the order a lone run would, so every
 result depends only on the seed, never on the block size.
 
 A run's draws for one generation come from one ``random_raw`` read of
@@ -230,13 +230,18 @@ def _next_generation(problem, pops: np.ndarray, streams, config: GaConfig) -> np
     ab += n * np.arange(runs)[:, None]
     a, b = ab[:, :n], ab[:, n:]
     fa, fb = fits.take(a), fits.take(b)
-    # ``take`` copies each row as one block, faster than ``rows[...]``
-    children = rows.take(np.where((fa > fb) | ((fa == fb) & coin), a, b), axis=0)
-    first = children[:, 0:2 * half:2]
-    second = children[:, 1:2 * half:2]
-    d = (first ^ second) & swap
-    first ^= d
-    second ^= d
+    winners = np.where((fa > fb) | ((fa == fb) & coin), a, b)
+    # ``take`` copies each row as one block, faster than ``rows[...]``, and
+    # gathering the pairs' first and second members apart lets the crossover
+    # run on contiguous arrays
+    first = rows.take(winners[:, 0:2 * half:2], axis=0)
+    second = rows.take(winners[:, 1:2 * half:2], axis=0)
+    d = first ^ second
+    d &= swap
+    children = np.empty_like(pops)
+    children[:, 0:2 * half:2] = first ^ d
+    children[:, 1:2 * half:2] = second ^ d
+    children[:, 2 * half:] = rows.take(winners[:, 2 * half:], axis=0)
     children ^= flips
     return children
 
