@@ -498,9 +498,10 @@ class TestDraws:
         _assert_same_state(stream, theirs)
 
     def test_redraw_in_a_block_of_runs(self, problem25, targets25):
-        # GA seed 5 draws one Lemire redraw in its first 200 runs, in run
-        # 26 at generation 8; that run goes on with the other buffered-half
-        # parity from the rest of its block of 5
+        # GA seed 5 makes one Lemire redraw in its first 200 runs: run 26
+        # (counting from 0), in its step to generation 8.  That run then
+        # goes on with the other buffered-half parity from the rest of its
+        # block of 5
         config = GaConfig(500, 10, runs=30, seed=5)
         fallback = gasim._numpy_draws
         with patch.object(gasim, "_numpy_draws", side_effect=fallback) as spy, \
