@@ -11,7 +11,6 @@ is epistatic to v.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from typing import Iterable, Iterator
 
@@ -21,6 +20,7 @@ from .model import (
     DEFAULT_CAP,
     EMPTY,
     Assignment,
+    OptimaGrid,
     global_optimum,
     optima_grid,
     psi_at,
@@ -55,17 +55,24 @@ def order1(problem, u: int, v: int, cap: int = DEFAULT_CAP) -> EpistasisKind:
     return order1_kind(psi_at(problem, Assignment(((u, 1 - g[u]),)), v, cap), g[v])
 
 
-def _first_witnesses(S: tuple[int, ...], grid) -> np.ndarray:
-    """Entry [i, v]: the first row (assignment on S) of ``grid(S)`` whose
-    optima at v change when S[i] is dropped, or -1 if none (always for v in S).
-    ``grid(T)`` is the optima grid over the loci T."""
-    k = len(S)
-    targets = grid(S).free
-    codes = grid(S).alleles(targets).reshape((2,) * k + (-1,))
+def _first_witnesses(grid: OptimaGrid) -> np.ndarray:
+    """Entry [i, v]: the first row of ``grid``, the optima grid over the
+    loci S, whose optima at v change when S[i] is dropped, or -1 if none
+    (always for v in S).
+
+    The optima without S[i] come from the same grid: per pattern on the
+    other loci, those of the fitter allele at S[i], or of both on a tie.
+    """
+    k = len(grid.loci)
+    targets = grid.free
+    codes = grid.alleles(targets).reshape((2,) * k + (-1,))
+    fitness = grid.fitness.reshape((2,) * k + (1,))
     out = np.full((k, k + len(targets)), -1)
     for i in range(k):
-        # the grid without S[i], broadcast along S[i]'s axis
-        sub = grid(S[:i] + S[i + 1:]).alleles(targets).reshape((2,) * (k - 1) + (-1,))
+        f0, f1 = np.take(fitness, 0, axis=i), np.take(fitness, 1, axis=i)
+        c0, c1 = np.take(codes, 0, axis=i), np.take(codes, 1, axis=i)
+        # the optima without S[i], broadcast along S[i]'s axis
+        sub = np.where(f0 >= f1, c0, 0) | np.where(f1 >= f0, c1, 0)
         changed = (codes != np.expand_dims(sub, i)).reshape(2 ** k, -1)
         out[i, list(targets)] = np.where(changed.any(axis=0), changed.argmax(axis=0), -1)
     return out
@@ -81,21 +88,19 @@ def epistatic(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> bool
 
 def witnesses(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> dict[int, Assignment] | None:
     """Per-member witness assignments, or None if S is not epistatic to v."""
-    S = tuple(sorted(frozenset(S)))
-    grid = functools.cache(lambda T: optima_grid(problem, EMPTY, T, cap))
-    rows = _first_witnesses(S, grid)[:, v]
+    grid = optima_grid(problem, EMPTY, S, cap)
+    rows = _first_witnesses(grid)[:, v]
     if (rows < 0).any():
         return None
-    return {s: grid(S).pattern(r) for s, r in zip(S, rows)}
+    return {s: grid.pattern(r) for s, r in zip(grid.loci, rows)}
 
 
 def epistatic_targets(problem, max_order: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[tuple, set[int]]]:
     """Yield (S, every v that S is epistatic to) for each S of 1 to
     ``max_order`` loci, smaller sets first, lexicographic within a size."""
-    grid = functools.cache(lambda T: optima_grid(problem, EMPTY, T, cap))  # one per call
     for order in range(1, max_order + 1):
         for S in itertools.combinations(range(problem.size), order):
-            witnessed = (_first_witnesses(S, grid) >= 0).all(axis=0)
+            witnessed = (_first_witnesses(optima_grid(problem, EMPTY, S, cap)) >= 0).all(axis=0)
             yield S, {int(v) for v in np.flatnonzero(witnessed)}
 
 

@@ -13,8 +13,8 @@ A run's draws for one generation come from one ``random_raw`` read of
 its ``default_rng`` (PCG64) generator, decoded into exactly the numbers
 numpy's ``integers`` and ``random`` calls would give (``_draws``); a
 generator of another bit generator is refused.  Where numpy's bounded
-draw would reject a word and draw again, the words are given back and
-that run's generation is drawn with numpy's own calls.
+draw would reject a value and draw the next one, the decoder skips that
+value, as numpy does, so every draw comes from the one decoder.
 
 ``generational_observability`` spreads its blocks over forked worker
 processes, one per CPU this process may run on: each worker evolves a
@@ -87,8 +87,9 @@ class _Stream:
     buffers the high half for the next one (``has_uint32`` and
     ``uinteger`` in the state).  ``random()`` and ``random_raw`` read whole
     words and leave that half alone.  The stream carries it in ``spare``
-    (``None`` when there is none), so the generator's own copy is stale
-    until ``store``.
+    (``None`` when there is none), read once from the generator's state;
+    the generator's own copy is stale from then on, and the stream's
+    draws never read it.
     """
 
     __slots__ = ("rng", "spare")
@@ -96,21 +97,10 @@ class _Stream:
     def __init__(self, seed):
         # default_rng returns a Generator it is given unaltered
         self.rng = np.random.default_rng(seed)
-        if self.rng.bit_generator.state["bit_generator"] != "PCG64":
-            raise TypeError("the GA decodes PCG64 words, as default_rng makes")
-        self.load()
-
-    def load(self) -> None:
-        """Take ``spare`` from the generator's state."""
         state = self.rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError("the GA decodes PCG64 words, as default_rng makes")
         self.spare = np.uint32(state["uinteger"]) if state["has_uint32"] else None
-
-    def store(self) -> None:
-        """Write ``spare`` into the generator's state."""
-        bitgen = self.rng.bit_generator
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = (0, 0) if self.spare is None else (1, int(self.spare))
-        bitgen.state = state
 
     def take(self, words: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` 32-bit values: ``spare``, then each of
@@ -165,48 +155,43 @@ def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
     ``flips`` (``random() < p``).  None of them depends on the population.
     numpy's bounded draw is Lemire's: an entrant is ``(u * n) >> 32`` of a
     32-bit value ``u``, and a coin or mask bit is the top bit of ``u``.  A
-    range of one (n = 1) reads no value.  Lemire rejects ``u`` and draws
-    again when the low 32 bits of ``u * n`` fall below ``2**32 % n``
-    (about once per 200-run GA command at n = 500); then the words are
-    given back and the run's generation is drawn with numpy's own calls.
+    range of one (n = 1) reads no value.  Lemire rejects ``u`` when the low
+    32 bits of ``u * n`` fall below ``2**32 % n`` (about once per 200-run
+    GA command at n = 500) and draws the next value instead, so the
+    entrants are the first ``2n`` accepted values and every later value
+    moves along by one per rejection.  A read that finds more rejections
+    among its entrants than it allowed for is given back and read again
+    with that many more values.
     """
     half = n // 2
     entrants = 2 * n if n > 1 else 0
+    threshold = 2 ** 32 % n
     carried = stream.spare
     buffered = carried is not None
-    head = _words(entrants + n, buffered)
-    body = head + half + _words(half * width, (entrants + n + buffered) % 2)
-    words = stream.rng.bit_generator.random_raw(body + n * width)
-    values = stream.take(words[:head], entrants + n)
-    scaled = values[:entrants].astype(np.uint64) * n
-    if entrants and scaled.astype(np.uint32).min() < 2 ** 32 % n:
+    redrawn = 0
+    while True:
+        drawn = entrants + redrawn
+        head = _words(drawn + n, buffered)
+        body = head + half + _words(half * width, (drawn + n + buffered) % 2)
+        words = stream.rng.bit_generator.random_raw(body + n * width)
+        values = stream.take(words[:head], drawn + n)
+        scaled = values[:drawn].astype(np.uint64) * n
+        if not entrants or scaled.astype(np.uint32).min() >= threshold:
+            break
+        kept = scaled.astype(np.uint32) >= threshold
+        rejected = drawn - np.count_nonzero(kept)
+        if rejected == redrawn:
+            scaled = scaled[kept]
+            break
         stream.rng.bit_generator.advance(-len(words))
         stream.spare = carried
-        return _numpy_draws(stream, n, width, config)
+        redrawn = rejected
     ab = scaled >> 32 if entrants else np.zeros(2, dtype=np.uint64)
-    coin = values[entrants:] >= 2 ** 31
+    coin = values[drawn:] >= 2 ** 31
     cross = _below(words[head:head + half], config.crossover_prob)
     swap = (stream.take(words[head + half:body], half * width) >= 2 ** 31).reshape(half, width)
     swap[~cross] = False
     flips = _below(words[body:], config.mutation_prob).reshape(n, width)
-    return ab, coin, swap, flips
-
-
-def _numpy_draws(stream: _Stream, n: int, width: int, config: GaConfig):
-    """``_draws`` with numpy's own calls, which redraw a rejected value.
-    The one call for ``ab`` reads the same numbers, and leaves the
-    generator in the same state, as one call each for ``a`` and ``b``; an
-    int32 draw of range 2 reads the words an int64 one does (a uint8 or
-    bool draw would not)."""
-    stream.store()
-    rng = stream.rng
-    half = n // 2
-    ab = rng.integers(0, n, size=2 * n)
-    coin = rng.integers(0, 2, size=n, dtype=np.int32) != 0
-    cross = rng.random(half) < config.crossover_prob
-    swap = (rng.integers(0, 2, size=(half, width), dtype=np.int32) != 0) & cross[:, None]
-    flips = rng.random((n, width)) < config.mutation_prob
-    stream.load()
     return ab, coin, swap, flips
 
 
@@ -324,6 +309,8 @@ def initial_observability(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if any(n < 0 for n in population_sizes):
+        raise ValueError("population size must be >= 0")
     stream = _Stream(seed)
     out = []
     for n in population_sizes:

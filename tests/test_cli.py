@@ -320,8 +320,8 @@ def fresh_python(code, **env_vars):
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    # Only the GA's parallel branch imports it; every command's start-up
-    # would pay for an import at module level.
+    # Nothing imports it: the GA forks its workers with ``os.fork``, and an
+    # import would add to every command's start-up and peak memory.
     assert fresh_python("import sys, epilink.cli; sys.exit('multiprocessing' in sys.modules)") == 0
 
 

@@ -169,6 +169,13 @@ class TestObservability:
         with pytest.raises(ValueError, match="runs must be >= 1"):
             initial_observability(problem25, targets25, [10], runs=0, seed=0)
 
+    def test_initial_refuses_a_negative_population(self, problem25, targets25):
+        # refused before any size is swept; a population of none is valid
+        with pytest.raises(ValueError, match="population size must be >= 0"):
+            initial_observability(problem25, targets25, [10, -3], 5, 0)
+        points = initial_observability(problem25, targets25[:1], [0], 5, 0)
+        assert [(pt.population_size, pt.probability) for pt in points] == [(0, 0.0)]
+
     def test_target_order(self):
         assert ObservabilityTarget((0, 1, 2, 3)).order == 3
 
@@ -474,40 +481,68 @@ class TestDraws:
         assert np.array_equal(pops, ref)
         _assert_same_state(stream, theirs)
 
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_lemire_redraw_falls_back_to_numpy(self, buffered):
-        # the low half of word 3,144,596 of seed 1 lies in the rejection
-        # zone of a draw from [0, 500): the low 32 bits of its product
-        # with 500 are below 2**32 % 500 = 296
-        config = GaConfig(500, 1)
-        mine, theirs = np.random.default_rng(1), np.random.default_rng(1)
-        for rng in (mine, theirs):
-            rng.bit_generator.advance(3144596 - buffered)
-            if buffered:
-                _buffer_a_half(rng)
+    def _assert_draws_match(self, mine, theirs, n, width):
+        """``_draws`` from ``mine`` equals ``_reference_draws`` from
+        ``theirs``, and leaves the same generator state."""
+        config = GaConfig(n, 1)
         stream = gasim._Stream(mine)
-        fallback = gasim._numpy_draws
-        with patch.object(gasim, "_numpy_draws", side_effect=fallback) as spy:
-            ab, coin, swap, flips = gasim._draws(stream, 500, 25, config)
-        assert spy.call_count == 1
-        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, 500, 25, config)
+        ab, coin, swap, flips = gasim._draws(stream, n, width, config)
+        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width, config)
         assert np.array_equal(ab, np.concatenate([a, b]))
         assert np.array_equal(coin, coin_ref)
         assert np.array_equal(swap, swap_ref)
         assert np.array_equal(flips, flips_ref)
         _assert_same_state(stream, theirs)
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("n, seed, word, high", [
+        (500, 1, 3144596, False), (500, 7, 177461, True), (500, 50, 37000, False),
+        (600, 27, 109279, True)])
+    def test_rejection_sites(self, n, seed, word, high, buffered):
+        # each site is the rejected half of one word: the low 32 bits of its
+        # product with n are below 2**32 % n (296 for n = 500).  A buffered
+        # half, when there is one, is the half just before the site
+        probe = np.random.default_rng(seed)
+        probe.bit_generator.advance(word)
+        u = int(probe.bit_generator.random_raw()) >> (32 if high else 0) & 0xFFFFFFFF
+        assert u * n % 2 ** 32 < 2 ** 32 % n
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (mine, theirs):
+            rng.bit_generator.advance(word - (buffered and not high))
+            if buffered:
+                _buffer_a_half(rng)
+        self._assert_draws_match(mine, theirs, n, 25)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_rejections_among_the_redrawn_values(self, buffered):
+        # n = 3 * 2**17 rejects 2**32 % n = 2**18 of the 2**32 values, so
+        # seed 224 rejects dozens of its first 2n values, and more among the
+        # values that replace them: the decoder reads three times
+        n = 3 * 2 ** 17
+        probe = np.random.default_rng(224)
+        if buffered:
+            _buffer_a_half(probe)
+        u = probe.integers(0, 2 ** 32, size=2 * n + 100, dtype=np.uint32).astype(np.uint64)
+        rejected = np.cumsum(u * n % 2 ** 32 < 2 ** 32 % n)
+        first = rejected[2 * n - 1]
+        assert 0 < first < rejected[2 * n + first - 1]
+        mine, theirs = np.random.default_rng(224), np.random.default_rng(224)
+        if buffered:
+            _buffer_a_half(mine)
+            _buffer_a_half(theirs)
+        self._assert_draws_match(mine, theirs, n, 1)
+
     def test_redraw_in_a_block_of_runs(self, problem25, targets25):
         # GA seed 5 makes one Lemire redraw in its first 200 runs: run 26
-        # (counting from 0), in its step to generation 8.  That run then
-        # goes on with the other buffered-half parity from the rest of its
-        # block of 5
+        # (counting from 0), in its step to generation 8, whose read of
+        # 3n values for entrants and coins is read again with 3n + 1.  That
+        # run then goes on with the other buffered-half parity from the
+        # rest of its block of 5
         config = GaConfig(500, 10, runs=30, seed=5)
-        fallback = gasim._numpy_draws
-        with patch.object(gasim, "_numpy_draws", side_effect=fallback) as spy, \
+        with patch.object(gasim, "_words", side_effect=gasim._words) as spy, \
                 patch.object(gasim, "_cpus", return_value=1):
             points = generational_observability(problem25, targets25, config)
-        assert spy.call_count == 1
+        assert [c.args[0] for c in spy.call_args_list].count(3 * 500 + 1) == 1
         assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
 
     @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 0.01, 0.3, 0.9, 1 - 2.0 ** -53, 1.0])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from epilink import epistasis as ep
 from epilink.graph import build_eg, in_set, max_epistasis_order
-from epilink.model import Assignment, global_optimum, psi_at
+from epilink.model import EMPTY, Assignment, global_optimum, optima_grid, psi_at
 from epilink.oracles import verify_blanket
 from epilink.problems import LookupTable
 
@@ -100,6 +100,32 @@ class TestEpistasisAgainstLoops:
             default=0,
         )
         assert max_epistasis_order(problem, bound) == want
+
+
+def two_grid_first_witnesses(problem, S):
+    """``ep._first_witnesses`` by one scan per subset: the optima without
+    S[i] read from the grid over S without S[i]."""
+    k = len(S)
+    grid = optima_grid(problem, EMPTY, S)
+    targets = grid.free
+    codes = grid.alleles(targets).reshape((2,) * k + (-1,))
+    out = np.full((k, k + len(targets)), -1)
+    for i in range(k):
+        sub = optima_grid(problem, EMPTY, S[:i] + S[i + 1:]).alleles(targets)
+        changed = (codes != np.expand_dims(sub.reshape((2,) * (k - 1) + (-1,)), i)).reshape(2 ** k, -1)
+        out[i, list(targets)] = np.where(changed.any(axis=0), changed.argmax(axis=0), -1)
+    return out
+
+
+class TestFirstWitnesses:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=lookup_tables(max_size=7), data=st.data())
+    def test_one_grid_matches_one_scan_per_subset(self, problem, data):
+        # any S, from no locus to every locus
+        S = tuple(sorted(data.draw(st.lists(
+            st.integers(0, problem.size - 1), max_size=problem.size, unique=True))))
+        got = ep._first_witnesses(optima_grid(problem, EMPTY, S))
+        assert np.array_equal(got, two_grid_first_witnesses(problem, S))
 
 
 def blanket_by_loop(problem, S):
