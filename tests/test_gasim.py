@@ -519,17 +519,14 @@ class TestDraws:
         # seed 224 rejects dozens of its first 2n values, and more among the
         # values that replace them: the decoder reads three times
         n = 3 * 2 ** 17
-        probe = np.random.default_rng(224)
+        probe, mine, theirs = (np.random.default_rng(224) for _ in range(3))
         if buffered:
-            _buffer_a_half(probe)
+            for rng in (probe, mine, theirs):
+                _buffer_a_half(rng)
         u = probe.integers(0, 2 ** 32, size=2 * n + 100, dtype=np.uint32).astype(np.uint64)
         rejected = np.cumsum(u * n % 2 ** 32 < 2 ** 32 % n)
         first = rejected[2 * n - 1]
         assert 0 < first < rejected[2 * n + first - 1]
-        mine, theirs = np.random.default_rng(224), np.random.default_rng(224)
-        if buffered:
-            _buffer_a_half(mine)
-            _buffer_a_half(theirs)
         self._assert_draws_match(mine, theirs, n, 1)
 
     def test_redraw_in_a_block_of_runs(self, problem25, targets25):
