@@ -5,6 +5,7 @@ experiment.  Tabular output is CSV, graphs are DOT, everything else JSON."""
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -17,8 +18,32 @@ from typing import Sequence
 # wins, and forked GA workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+
+def _register_lazily(*names: str) -> None:
+    """Put each submodule in ``sys.modules`` and on the package, as an
+    import does, but compile and execute it only on its first attribute
+    access (``importlib.util.LazyLoader``): a command loads only the
+    modules it uses."""
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+# Registered before ``model`` is imported, so they precede it in
+# ``sys.modules``.  bench/tracing.py rebinds each traced function in every
+# module in that order, loading a lazy one as it reaches it; one loaded
+# after ``model``'s functions are wrapped would bind a wrapper that the
+# round never undoes.
+_register_lazily("decomposition", "epistasis", "gasim", "graph", "oracles")
 from . import decomposition, gasim, graph, oracles
-from .decomposition import pac_sweep
 from .model import (
     DEFAULT_CAP,
     AssumptionViolationError,
@@ -39,6 +64,14 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_THEOREM = 4
 EXIT_ASSUMPTION = 5
+
+
+def __getattr__(name):
+    # ``cli.pac_sweep`` is a traced name; read through decomposition, it
+    # does not load that module at import.
+    if name == "pac_sweep":
+        return decomposition.pac_sweep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -180,7 +213,10 @@ def cmd_ipe(args) -> int:
 def cmd_verify(args) -> int:
     problem = _load_problem(args)
     _at_least(args.weak_order, 0, "weak-epistasis audit order")
-    wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    if args.theorems is None:
+        wanted = list(oracles.THEOREMS)
+    else:
+        wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
     unknown = set(wanted) - set(oracles.THEOREMS)
     if unknown:
         raise ProblemSpecError(f"unknown theorems: {sorted(unknown)}")
@@ -207,7 +243,7 @@ def cmd_pac_sweep(args) -> int:
         raise ProblemSpecError(
             f"sufficient-n threshold is infeasible ({threshold_text}); pass --n-values"
         )
-    rows = pac_sweep(problem, n_values, args.runs, args.seed, args.cap)
+    rows = decomposition.pac_sweep(problem, n_values, args.runs, args.seed, args.cap)
     text = _csv(
         [
             f"problem={problem.name} delta={args.delta} runs={args.runs} seed={args.seed}",
@@ -314,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run brute-force theorem oracles")
     problem_options(p)
-    p.add_argument("--theorems", default=",".join(oracles.THEOREMS))
+    p.add_argument("--theorems")
     p.add_argument("--weak-order", type=int, default=4,
                    help="bounded weak-epistasis audit order")
     p.set_defaults(func=cmd_verify)

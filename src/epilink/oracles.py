@@ -7,8 +7,7 @@ before any scan, what the cap or ``_FULL_SCAN_MAX`` (22 loci) refuses."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from .model import (
 )
 from . import epistasis as _ep
 from . import graph as _graph
+
+# For the annotations only: the EBACC scorers import it when called, so
+# ``verify`` does not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -303,6 +307,8 @@ def ebacc(hypothesis: Callable[[tuple[int, ...]], bool], problem, cap: int = DEF
     The single positive is the unique global optimum; specificity is the
     fraction of non-optima the predicate rejects.
     """
+    from fractions import Fraction
+
     size = problem.size
     g = global_optimum(problem, cap)  # refuses 2^size > cap
     sens = 1 if hypothesis(g) else 0
@@ -322,6 +328,8 @@ def indicator_ebacc(c: Sequence[int], problem, cap: int = DEFAULT_CAP) -> EbaccS
     """``ebacc`` of the indicator hypothesis of ``c`` in closed form: it
     accepts only c, so it finds the optimum iff c is the optimum,
     and otherwise accepts one of the 2^size - 1 non-optima."""
+    from fractions import Fraction
+
     if tuple(c) == global_optimum(problem, cap):  # refuses 2^size > cap
         return EbaccScore(1, Fraction(1), Fraction(1))
     spec = Fraction(2 ** problem.size - 2, 2 ** problem.size - 1)

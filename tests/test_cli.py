@@ -193,6 +193,22 @@ class TestVerify:
         assert (code, out) == (EXIT_CAP, "")
         assert err.startswith("error: exhaustive enumeration needs 1024 completions")
 
+    def test_default_theorems(self, capsys):
+        # no --theorems checks decomposition, every blanket and clique, in
+        # that order; an empty list is refused
+        argv = ["verify", "--kind", "ctrap", "--m", "1", "--weak-order", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, *argv, "--theorems", "decomposition,blanket,clique")[:2] == (code, out)
+        reports = out.split("\n\n")
+        assert len(reports) == 6
+        assert "coverage(MSO(0))" in reports[0]
+        assert all(f"blanket holds for S=[{v}]" in r for v, r in enumerate(reports[1:5]))
+        assert "bidirectional clique" in reports[5]
+        code, out, err = run(capsys, *argv, "--theorems", "")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "names no theorem" in err
+
     def test_unknown_theorem(self, capsys):
         code, _, err = run(
             capsys,
@@ -369,7 +385,8 @@ class TestStartup:
 
     def test_cli_import_loads_every_traced_module(self):
         # bench/tracing.py patches these modules through sys.modules and
-        # rebinds cli.pac_sweep, so the CLI must keep importing them.
+        # rebinds cli.pac_sweep, so the CLI registers them at import (each
+        # loads on first use) and cli.pac_sweep must resolve.
         bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
         code = (
             "import sys, epilink.cli\n"
@@ -378,6 +395,55 @@ class TestStartup:
             "from epilink import cli, decomposition\n"
             "missing = {m for m, *_ in tracing.TRACED} - set(sys.modules)\n"
             "sys.exit(bool(missing) or cli.pac_sweep is not decomposition.pac_sweep)"
+        )
+        assert fresh_python(code) == 0
+
+    def test_traced_round_leaves_no_wrapper(self):
+        # the tracer loads the lazy modules as it walks sys.modules; each
+        # must load before the model functions it imports are wrapped, or
+        # it keeps a wrapper that the round does not undo
+        bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+        code = (
+            "import sys, epilink.cli\n"
+            f"sys.path.insert(0, {bench!r})\n"
+            "import tracing\n"
+            "with tracing.installed(tracing.Tracer()):\n"
+            "    pass\n"
+            "left = [(n, k) for n, m in list(sys.modules.items()) if n.startswith('epilink')\n"
+            "        for k, v in vars(m).items() if getattr(v, '__module__', None) == 'tracing']\n"
+            "sys.exit(bool(left))"
+        )
+        assert fresh_python(code) == 0
+
+    @pytest.mark.parametrize("argv, executed", [
+        (["list-problems"], []),
+        (["eg", "--kind", "ctrap", "--m", "1"], ["epistasis", "graph"]),
+        (["verify", "--kind", "ctrap", "--m", "1", "--weak-order", "1"],
+         ["epistasis", "graph", "oracles"]),
+        (["weak-observability", "--runs", "2", "--population", "10", "--generations", "1",
+          "--population-sizes", "10"], ["gasim"]),
+    ], ids=["list-problems", "eg", "verify", "weak-observability"])
+    def test_command_executes_only_its_modules(self, argv, executed):
+        # a lazy module's namespace gains __builtins__ when its code runs;
+        # object.__getattribute__ reads the namespace without loading it
+        code = (
+            "import os, sys\n"
+            "from epilink.cli import main\n"
+            f"rc = main({argv!r} + ['--output', os.devnull])\n"
+            "ran = [n for n in ('decomposition', 'epistasis', 'gasim', 'graph', 'oracles')\n"
+            "       if '__builtins__' in object.__getattribute__(sys.modules['epilink.' + n], '__dict__')]\n"
+            f"sys.exit(rc != 0 or ran != {executed!r} or 'fractions' in sys.modules)"
+        )
+        assert fresh_python(code) == 0
+
+    def test_lazy_modules_are_bound_on_the_package(self):
+        code = (
+            "import sys, epilink.cli\n"
+            "import epilink.graph\n"
+            "from epilink.graph import build_eg\n"
+            "from epilink import decomposition\n"
+            "sys.exit(epilink.graph.build_eg is not build_eg\n"
+            "         or decomposition is not sys.modules['epilink.decomposition'])"
         )
         assert fresh_python(code) == 0
 
