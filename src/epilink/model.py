@@ -56,10 +56,6 @@ def bits_to_str(bits: Sequence[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
-def complement(bits: Sequence[int]) -> tuple[int, ...]:
-    return tuple(1 - b for b in bits)
-
-
 def pack_bits(bits: Sequence[int]) -> int:
     """Integer index of a chromosome; locus 0 is the most significant bit."""
     value = 0
@@ -99,16 +95,11 @@ class Assignment:
         self._hash = hash(tuple(self._d.items()))
 
     @classmethod
-    def batch(cls, loci: Iterable[int], allele: int) -> "Assignment":
-        """The constant batch assignment ``{(S, allele)}``."""
-        return cls((v, allele) for v in loci)
-
-    @classmethod
     def batch_pattern(cls, loci: Iterable[int], pattern: Sequence[int]) -> "Assignment":
         """Batch assignment taking each allele from an indexable pattern.
 
-        With ``pattern`` the global optimum this is ``{(S, g)}``; pass
-        ``complement(g)`` for ``{(S, g-bar)}``.
+        With ``pattern`` the global optimum this is ``{(S, g)}``; with its
+        complement, ``{(S, g-bar)}``.
         """
         return cls((v, pattern[v]) for v in loci)
 
@@ -190,6 +181,15 @@ def bit_rows(indices, width: int) -> np.ndarray:
     """The low ``width`` bits of each index as a uint8 row, most significant first."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def popcounts(width: int, dtype=np.uint8) -> np.ndarray:
+    """The number of ones of each index below 2^width, filled by doubling:
+    the upper half of each prefix is its lower half plus one."""
+    out = np.zeros(2 ** width, dtype=dtype)
+    for k in range(width):
+        np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
+    return out
 
 
 def completion_fitness(problem, a: Assignment) -> np.ndarray:

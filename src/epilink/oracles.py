@@ -17,6 +17,7 @@ from .model import (
     EnumerationCapError,
     global_optimum,
     optima_grid,
+    popcounts,
     unpack_bits,
 )
 from . import epistasis as _ep
@@ -115,18 +116,17 @@ def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignme
     # locus u's bit in a packed index, in the smallest type that holds them all
     place = (1 << np.arange(size - 1, -1, -1)).astype(np.min_scalar_type(2 ** size - 1))
     reach = np.zeros(h.shape, dtype=place.dtype)
-    ones = np.zeros(h.shape, dtype=np.uint8)  # each packed index's popcount
     for u in range(size):
         right, wrong = np.moveaxis(h, u, 0)
         np.moveaxis(reach, u, 0)[0] |= (wrong >= right) * place[u]  # a tie is no loss
-        np.moveaxis(ones, u, 0)[1] += 1
     for u in range(size):  # OR over every wrong-set below each x
         np.moveaxis(reach, u, 0)[1] |= np.moveaxis(reach, u, 0)[0]
     caught = np.arange(2 ** size, dtype=place.dtype)  # m & reach[~m], per mask m
     caught &= reach.ravel()[::-1]
     del reach
-    survives, ones = caught == 0, ones.ravel()
+    survives = caught == 0
     del caught
+    ones = popcounts(size)
     found: dict[int, Assignment] = {}
     left = 2 ** size - 1  # the loci still without an answer
     for k in range(1, size + 1):  # one popcount level at a time

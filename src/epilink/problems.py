@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import bits_from_str, pack_bits
+from .model import bits_from_str, pack_bits, popcounts
 
 FITNESS_SCALE = 2
 
@@ -151,21 +151,17 @@ class _BlockSum(FitnessProblem):
         return self._scores.take(index) @ np.ones(len(self._blocks), dtype=np.int64)
 
     def _block_ones(self):
-        """Each block's number of ones, as a ``_dtype`` tensor broadcast over
-        the table axes its loci read (every ``_dtype`` holds 255, and a
-        table has far fewer loci), and the block's scaled scores."""
-        axes = range(self.size)
-        perm = self.permutation or axes
-        # the allele at locus v, as a tensor along the table's axis v
-        allele = [np.arange(2, dtype=self._dtype).reshape([2 if w == v else 1 for w in axes])
-                  for v in axes]
+        """Each block's number of ones, as a contiguous ``_dtype`` tensor over
+        the table axes its loci read, and the block's scaled scores.  The
+        count is the popcount of the block's own bits, whatever their order
+        (every ``_dtype`` holds 255, and a table has far fewer loci)."""
+        perm = self.permutation or range(self.size)
         scores = self._scores.astype(self._dtype)
         for block, offset in zip(self._blocks, self._offsets):
             read = {perm[i] for i in block}
-            ones = np.zeros([2 if v in read else 1 for v in axes], dtype=self._dtype)
-            for i in block:
-                ones += allele[perm[i]]
-            yield ones, scores[offset:offset + len(block) + 1]
+            shape = [2 if v in read else 1 for v in range(self.size)]
+            yield (popcounts(len(read), self._dtype).reshape(shape),
+                   scores[offset:offset + len(block) + 1])
 
     def _tabulate(self):
         table = np.zeros((2,) * self.size, dtype=self._dtype)

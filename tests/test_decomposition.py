@@ -333,7 +333,7 @@ class TestTestSo:
             P = random_population(ctrap8, n, rng)
             ok, a = run_test_so(ctrap8, range(4), P)
             assert ok
-            assert a == Assignment.batch(range(4), 1)
+            assert a == Assignment((v, 1) for v in range(4))
 
     def test_onemax_singleton(self, onemax4):
         rng = np.random.default_rng(1)
@@ -392,7 +392,7 @@ class TestTestSo:
         # the all-ones block pattern is an SO; every population accepts it
         from epilink.oracles import is_stationary_optimum
 
-        a = Assignment.batch(range(4, 8), 1)
+        a = Assignment((v, 1) for v in range(4, 8))
         assert is_stationary_optimum(ctrap8, a)
         for seed in range(10):
             rng = np.random.default_rng(seed)

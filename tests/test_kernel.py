@@ -255,7 +255,7 @@ class TestTableRule:
     def test_small_restricted_scan_streams(self):
         p = OneMax(20)
         with rows_evaluated(p) as spy:
-            opt = constrained_optima(p, Assignment.batch(range(15), 1))
+            opt = constrained_optima(p, Assignment((v, 1) for v in range(15)))
         assert (opt.fitness, opt.count) == (40, 1)
         assert p.fitness_table(0) is None
         assert sum(len(c.args[0]) for c in spy.call_args_list) == 32

@@ -1,5 +1,8 @@
 """Assignments, constrained optima, and the global-optimum contract."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,11 @@ from epilink.model import (
     EnumerationCapError,
     bits_from_str,
     bits_to_str,
-    complement,
     constrained_optima,
     global_optimum,
     optima_grid,
     pack_bits,
+    popcounts,
     psi_at,
     unpack_bits,
 )
@@ -40,8 +43,23 @@ class TestBitCodecs:
         assert pack_bits((1, 0, 0, 0)) == 8
         assert unpack_bits(8, 4) == (1, 0, 0, 0)
 
-    def test_complement(self):
-        assert complement((1, 0, 1)) == (0, 1, 0)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_popcounts(self, dtype):
+        for width in range(13):
+            counts = popcounts(width, dtype)
+            assert counts.dtype == dtype
+            assert counts.tolist() == [bin(i).count("1") for i in range(2 ** width)]
+
+    def test_popcounts_peak_is_its_output(self):
+        # the doubling adds in place: no temporary next to the output,
+        # which keeps a block over every locus at two tables
+        tracemalloc.start()
+        try:
+            counts = popcounts(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes + (64 << 10)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
     def test_pack_unpack_inverse(self, bits):
@@ -57,13 +75,13 @@ class TestAssignment:
         assert A((1, 0), (3, 1)).apply((1, 1, 1, 1)) == (1, 0, 1, 1)
 
     def test_batch_constant(self):
-        a = Assignment.batch({1, 3}, 1)
+        a = Assignment((v, 1) for v in {1, 3})
         assert a.apply((0, 0, 0, 0)) == (0, 1, 0, 1)
         assert a == A((1, 1), (3, 1))
 
     def test_batch_pattern_and_complement(self):
         g = (1, 1, 1, 1)
-        assert Assignment.batch_pattern(range(4), complement(g)) == A(
+        assert Assignment.batch_pattern(range(4), tuple(1 - b for b in g)) == A(
             (0, 0), (1, 0), (2, 0), (3, 0)
         )
         assert Assignment.batch_pattern((), g) == Assignment()
@@ -77,7 +95,7 @@ class TestAssignment:
     def test_coverage(self):
         assert A((1, 0), (3, 1)).coverage == frozenset({1, 3})
         assert Assignment().coverage == frozenset()
-        full = Assignment.batch(range(4), 1)
+        full = Assignment((v, 1) for v in range(4))
         assert len(full.coverage) == 4
 
     def test_conflicting_alleles_rejected(self):

@@ -50,7 +50,7 @@ class TestIsStationaryOptimum:
         assert is_stationary_optimum(ctrap8, Assignment(enumerate(g)))
 
     def test_trap_block(self, ctrap8):
-        assert is_stationary_optimum(ctrap8, Assignment.batch(range(4), 1))
+        assert is_stationary_optimum(ctrap8, Assignment((v, 1) for v in range(4)))
 
     def test_single_trap_locus_is_not(self, ctrap8):
         # the all-zeros rest of the block makes (0, 0) win instead
@@ -90,13 +90,11 @@ class TestMinimumStationaryOptimum:
         assert minimum_stationary_optima(p)[2] == Assignment(((2, 1),))
 
     def test_ctrap_whole_block(self, ctrap8):
-        assert minimum_stationary_optima(ctrap8)[5] == Assignment.batch(
-            range(4, 8), 1
-        )
+        assert minimum_stationary_optima(ctrap8)[5] == Assignment((v, 1) for v in range(4, 8))
 
     def test_leadingones_prefix(self):
         p = LeadingOnes(6)
-        assert minimum_stationary_optima(p)[3] == Assignment.batch(range(4), 1)
+        assert minimum_stationary_optima(p)[3] == Assignment((v, 1) for v in range(4))
 
     def test_cyctrap_locus2_coverage_ten(self, cyctrap12):
         mso = minimum_stationary_optima(cyctrap12)[2]
@@ -220,7 +218,8 @@ class TestMinimumStationaryOptimumSearch:
 
     def test_walk_holds_no_survivor_list(self):
         # every subset of OneMax survives the prefilter, yet the walk ends
-        # after the singletons: the call's peak stays under two tables
+        # after the singletons: the call's peak is ``reach`` and the
+        # survivor mask's uint32 scratch, with no popcount tensor beside them
         problem = OneMax(20)
         problem.fitness_table()
         global_optimum(problem)
@@ -231,7 +230,7 @@ class TestMinimumStationaryOptimumSearch:
         finally:
             tracemalloc.stop()
         assert found == tuple(Assignment(((v, 1),)) for v in range(20))
-        assert peak < 2 * (8 << 20)  # two int64 tables
+        assert peak < (8 << 20) + (512 << 10)  # two uint32 tensors of 2^20
 
 
 class TestDecompositionTheorem:
