@@ -265,7 +265,7 @@ def cmd_weak_observability(args) -> int:
     _at_least(args.runs, 1, "runs")
     _at_least(args.population, 1, "population")
     _at_least(args.generations, 0, "generations")
-    all_targets = gasim.block_targets(problem.block_sizes)
+    all_targets = gasim.block_targets(problem)
     if args.blocks is not None:
         wanted = _int_list(args.blocks)
         orders = [t.order for t in all_targets]

@@ -406,11 +406,7 @@ def generational_observability(
     return _points(targets, config.population_size, hits, config.runs)
 
 
-def block_targets(block_sizes: Sequence[int]) -> list[ObservabilityTarget]:
-    """One witness target per consecutive block of the concatenation."""
-    targets = []
-    pos = 0
-    for b in block_sizes:
-        targets.append(ObservabilityTarget(tuple(range(pos, pos + b))))
-        pos += b
-    return targets
+def block_targets(problem) -> list[ObservabilityTarget]:
+    """One witness target per block of a modified-OneMax concatenation,
+    on the chromosome loci of ``problem.blocks``."""
+    return [ObservabilityTarget(block) for block in problem.blocks]

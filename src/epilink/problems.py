@@ -49,11 +49,12 @@ _NIAH = (0, 0, 0, 0, 4)
 class FitnessProblem:
     """Pure, deterministic chromosome -> fitness contract.
 
-    Each kind states its fitness once, over permuted chromosomes ``y``
-    (``y[i] = x[permutation[i]]``; the identity permutation is the
-    default), and derives from that both ``raw_evaluate_many``, its rows,
-    and ``_tabulate``, its dense table in ``_dtype``; no table is built by
-    evaluating rows.  The fitness never changes after construction, but an
+    Each kind states its fitness once, over relabeled chromosomes ``y``
+    (``y[i] = x[permutation[i]]``, identity by default), and its
+    constructor relabels it onto chromosome loci once.  Its rows,
+    ``raw_evaluate_many``, and its dense ``_dtype`` table, ``_tabulate``,
+    then read chromosome loci directly; no table is built by evaluating
+    rows.  The fitness never changes after construction, but an
     instance is not immutable: it fills two single-value caches lazily,
     with no locking — the global optimum (``_g``) and the dense fitness
     table (``_table``, once a caller's work pays for it).  Each worker
@@ -75,8 +76,8 @@ class FitnessProblem:
         self._g = None
         self._table: np.ndarray | None = None
 
-    def raw_evaluate_many(self, ys: np.ndarray) -> np.ndarray:
-        """Scaled fitness of each row of ``ys``, a (rows, size) 0/1 array."""
+    def raw_evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+        """Scaled fitness of each chromosome row of ``xs``, a (rows, size) 0/1 array."""
         raise NotImplementedError
 
     def evaluate(self, bits: Sequence[int]) -> int:
@@ -87,8 +88,6 @@ class FitnessProblem:
         arr = np.asarray(arr)
         if arr.shape[1] != self.size:
             raise ValueError(f"chromosome length {arr.shape[1]} != problem size {self.size}")
-        if self.permutation is not None:
-            arr = arr[:, self.permutation]
         return self.raw_evaluate_many(arr)
 
     def fitness_table(self, work: int | None = None) -> np.ndarray | None:
@@ -119,9 +118,10 @@ class FitnessProblem:
 
 
 class _BlockSum(FitnessProblem):
-    """Sum over blocks (sequences of loci of ``y``) of a score of each
-    block's number of ones; ``scores[j][u]`` is block j's natural score at
-    u ones, and no score is negative.
+    """Sum over ``blocks`` (each given block of loci of ``y``, mapped
+    through the permutation to a tuple of chromosome loci) of a score of
+    each block's number of ones; ``scores[j][u]`` is block j's natural
+    score at u ones, and no score is negative.
 
     Rows: one float32 product with a 0/1 (loci x blocks) indicator counts
     each block's ones (exact for blocks of up to 2^24 loci), and one
@@ -135,32 +135,31 @@ class _BlockSum(FitnessProblem):
     def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
                  scores: Sequence[Sequence[float]], permutation=None):
         super().__init__(name, size, permutation)
-        self._blocks = [list(block) for block in blocks]
+        perm = self.permutation or range(size)
+        self.blocks = tuple(tuple(perm[i] for i in block) for block in blocks)
         scaled = [FITNESS_SCALE * np.asarray(s) for s in scores]
         self._scores = np.concatenate(scaled).astype(np.int64)
         self._offsets = np.cumsum([0] + [len(s) for s in scaled[:-1]])
         self._dtype = np.min_scalar_type(np.maximum.reduceat(self._scores, self._offsets).sum())
-        self._indicator = np.zeros((size, len(self._blocks)), dtype=np.float32)
-        for j, block in enumerate(self._blocks):
+        self._indicator = np.zeros((size, len(self.blocks)), dtype=np.float32)
+        for j, block in enumerate(self.blocks):
             self._indicator[block, j] = 1
 
-    def raw_evaluate_many(self, ys):
-        index = (ys @ self._indicator).astype(np.intp)
+    def raw_evaluate_many(self, xs):
+        index = (xs @ self._indicator).astype(np.intp)
         index += self._offsets
         # a product with ones sums these short rows faster than sum(axis=1)
-        return self._scores.take(index) @ np.ones(len(self._blocks), dtype=np.int64)
+        return self._scores.take(index) @ np.ones(len(self.blocks), dtype=np.int64)
 
     def _block_ones(self):
         """Each block's number of ones, as a contiguous ``_dtype`` tensor over
-        the table axes its loci read, and the block's scaled scores.  The
+        the table axes of its loci, and the block's scaled scores.  The
         count is the popcount of the block's own bits, whatever their order
         (every ``_dtype`` holds 255, and a table has far fewer loci)."""
-        perm = self.permutation or range(self.size)
         scores = self._scores.astype(self._dtype)
-        for block, offset in zip(self._blocks, self._offsets):
-            read = {perm[i] for i in block}
-            shape = [2 if v in read else 1 for v in range(self.size)]
-            yield (popcounts(len(read), self._dtype).reshape(shape),
+        for block, offset in zip(self.blocks, self._offsets):
+            shape = [2 if v in block else 1 for v in range(self.size)]
+            yield (popcounts(len(block), self._dtype).reshape(shape),
                    scores[offset:offset + len(block) + 1])
 
     def _tabulate(self):
@@ -197,21 +196,21 @@ class _Leading(_BlockSum):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sizes = self._indicator.sum(axis=0)
-        tops = self._scores[self._offsets + [len(block) for block in self._blocks]]
+        tops = self._scores[self._offsets + [len(block) for block in self.blocks]]
         self._before = np.cumsum(tops) - tops  # the top scores of the earlier blocks
 
-    def raw_evaluate_many(self, ys):
-        ones = ys @ self._indicator
+    def raw_evaluate_many(self, xs):
+        ones = xs @ self._indicator
         full = ones == self._sizes
         full[:, -1] = False  # the last block scores its own ones, whether all or not
         first = full.argmin(axis=1)
-        index = ones[np.arange(len(ys)), first].astype(np.intp)
+        index = ones[np.arange(len(xs)), first].astype(np.intp)
         index += self._offsets[first]
         return self._before[first] + self._scores[index]
 
     def _tabulate(self):
         table = np.zeros((2,) * self.size, dtype=self._dtype)
-        for (ones, scores), block in reversed(list(zip(self._block_ones(), self._blocks))):
+        for (ones, scores), block in reversed(list(zip(self._block_ones(), self.blocks))):
             table *= ones == len(block)
             table += _score_in_place(ones, scores)
         return table.reshape(-1)
@@ -304,7 +303,7 @@ class LookupTable(FitnessProblem):
     """Fitness by direct indexing into a dense 2^size value array.
 
     Values are natural (unscaled); they may be half-integers and are
-    scaled internally.
+    scaled internally into ``values``, indexed by packed chromosome.
     """
 
     def __init__(self, values: Sequence[float], permutation=None, name: str | None = None):
@@ -318,8 +317,10 @@ class LookupTable(FitnessProblem):
             raise ProblemSpecError(
                 f"fitness value {values[bad[0]]} is not an integer multiple of 1/{FITNESS_SCALE}"
             )
-        self.values = scaled.astype(np.int64)
         super().__init__(name or f"lookup-{size}", size, permutation)
+        inverse = np.argsort(self.permutation or range(size))  # axis i of y is permutation[i]
+        self.values = scaled.reshape((2,) * size).transpose(inverse).astype(np.int64, order="C")
+        self.values = self.values.reshape(-1)
 
     @classmethod
     def from_pairs(
@@ -340,14 +341,12 @@ class LookupTable(FitnessProblem):
             values[pack_bits(bits)] = value
         return cls(values, **kwargs)
 
-    def raw_evaluate_many(self, ys):
+    def raw_evaluate_many(self, xs):
         weights = 1 << np.arange(self.size - 1, -1, -1, dtype=np.int64)
-        return self.values[ys.astype(np.int64) @ weights]
+        return self.values[xs.astype(np.int64) @ weights]
 
     def _tabulate(self):
-        # axis i of ``values`` is y's locus i, which reads locus permutation[i]
-        inverse = np.argsort(self.permutation or range(self.size))
-        return self.values.reshape((2,) * self.size).transpose(inverse).reshape(-1)
+        return self.values
 
 
 class ProblemSpecError(ValueError):

@@ -214,7 +214,7 @@ def test_criterion_11_failure_trend():
 
 def test_criterion_12_observability_trends():
     problem = weak_observability_problem()
-    targets = block_targets(problem.block_sizes)
+    targets = block_targets(problem)
     sizes = [10, 20, 50, 100, 200, 500, 1000]
     runs = 1000
     initial = initial_observability(problem, targets, sizes, runs=runs, seed=2)

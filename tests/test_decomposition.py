@@ -368,6 +368,21 @@ class TestTestSo:
                 with pytest.raises(ValueError, match="population must be nonempty"):
                     run_test_so(onemax4, {0}, P[:0])
 
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["fresh", "prebuilt-table"])
+    def test_refuses_a_population_or_locus_off_the_problem(self, prebuilt):
+        # a built table would otherwise be read at any width or locus
+        p = CTrap(1)
+        if prebuilt:
+            global_optimum(p)
+            assert p.fitness_table(0) is not None
+        with pytest.raises(ValueError, match="2-D with 4 columns"):
+            run_test_so(p, [1], np.zeros((2, 5), np.uint8))
+        with pytest.raises(ValueError, match="2-D with 4 columns"):
+            run_test_so(p, [1], np.zeros(4, np.uint8))
+        for locus in (4, -1):
+            with pytest.raises(ValueError, match="outside"):
+                run_test_so(p, [locus], np.zeros((2, 4), np.uint8))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6), st.sampled_from([2, 3, 64]), st.integers(0, 2 ** 32 - 1),
            st.integers(1, 8), st.data(), st.sampled_from(TABLE_MODES))

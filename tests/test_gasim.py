@@ -46,7 +46,7 @@ def problem25():
 
 @pytest.fixture(scope="module")
 def targets25(problem25):
-    return block_targets(problem25.block_sizes)
+    return block_targets(problem25)
 
 
 class TestConfig:
@@ -117,6 +117,17 @@ class TestObservability:
             tuple(range(18, 25)),
         ]
         assert [t.order for t in targets25] == [2, 3, 4, 5, 6]
+
+    def test_block_targets_are_the_permuted_blocks(self):
+        # each target is a block on chromosome loci: zeroing exactly its
+        # loci, with every other locus one, earns that block's 1.5 bonus
+        problem = OneMaxPrimeConcat((3, 2, 4), permutation=[4, 7, 0, 8, 2, 6, 1, 3, 5])
+        targets = block_targets(problem)
+        assert [t.loci for t in targets] == list(problem.blocks)
+        for target, size in zip(targets, problem.block_sizes):
+            x = np.ones(problem.size, dtype=np.uint8)
+            x[list(target.loci)] = 0
+            assert problem.evaluate(x) == 2 * (problem.size - size) + 3
 
     def test_closed_form(self):
         assert closed_form_initial(2, 1) == pytest.approx(1 / 8)
@@ -294,7 +305,7 @@ _GA_PROBLEMS = {
 
 def _ga_targets(problem):
     if isinstance(problem, OneMaxPrimeConcat):
-        return block_targets(problem.block_sizes)
+        return block_targets(problem)
     return [ObservabilityTarget((0, 1)), ObservabilityTarget((2, 5, 6))]
 
 

@@ -433,6 +433,16 @@ class TestLookupTable:
         with pytest.raises(ProblemSpecError):
             LookupTable([1, 2, 3])
 
+    def test_permuted_table_is_its_values(self):
+        # the constructor transposes the values once, so the table is no copy
+        values, perm = list(range(16)), [2, 0, 3, 1]
+        p = LookupTable(values, permutation=perm)
+        table = p.fitness_table()
+        assert np.shares_memory(table, p.values)
+        assert table.tolist() == [
+            FITNESS_SCALE * values[pack_bits([x[i] for i in perm])] for x in every_row(4).tolist()
+        ]
+
     def test_from_pairs_default_fill(self):
         p = LookupTable.from_pairs(3, {"111": 10, "000": 2}, default=1)
         assert natural(p, (1, 1, 1)) == 10
