@@ -15,7 +15,6 @@ from .model import (
     Assignment,
     EnumerationCapError,
     bit_rows,
-    completion_fitness,
     global_optimum,
     unpack_bits,
 )
@@ -37,10 +36,11 @@ def partial_enumeration(
 ) -> PEResult:
     """Enumerate each block of the partition in order, keeping strict improvements.
 
-    Costs exactly 1 + sum(2^|block|) fitness evaluations: the random start,
-    then every pattern of each block written into the current chromosome,
-    one block per ``evaluate_many`` stream.  With the one-block partition
-    this is plain full enumeration.
+    Counts exactly 1 + sum(2^|block|) fitness evaluations: the random
+    start, then every pattern of each block written into the current
+    chromosome.  Only the start is evaluated as a row; a block's patterns
+    are the completions of the other loci's current alleles.  With the
+    one-block partition this is plain full enumeration.
     """
     blocks = [sorted(set(b)) for b in partition]
     flat = [v for b in blocks for v in b]
@@ -57,12 +57,12 @@ def partial_enumeration(
     for b in blocks:
         # Every candidate rewrites all of b, so keeping strict improvements
         # in pattern order keeps the first maximum if it beats ``best``.
-        fits = completion_fitness(problem, Assignment.batch_pattern(set(flat).difference(b), y))
-        evaluations += len(fits)
+        fits = problem.completions(Assignment.batch_pattern(set(flat).difference(b), y))
+        evaluations += fits.size
         top = int(fits.argmax())
-        if fits[top] > best:
+        if fits.flat[top] > best:
             y = Assignment(zip(b, unpack_bits(top, len(b)))).apply(y)
-            best = int(fits[top])
+            best = int(fits.flat[top])
     return PEResult(y, best, evaluations)
 
 

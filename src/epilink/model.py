@@ -22,9 +22,6 @@ WILDCARD = "*"
 #: refusing.  Overridable per call.
 DEFAULT_CAP = 2 ** 24
 
-#: Rows per ``evaluate_many`` call (log 2) when completions are streamed.
-_STREAM_BITS = 16
-
 
 class EnumerationCapError(RuntimeError):
     """Raised instead of silently running an exponential enumeration."""
@@ -192,23 +189,6 @@ def popcounts(width: int, dtype=np.uint8) -> np.ndarray:
     return out
 
 
-def completion_fitness(problem, a: Assignment) -> np.ndarray:
-    """Fitness of every completion of ``a`` through ``evaluate_many``; entry r
-    is the completion whose free loci spell r (lowest locus most significant)."""
-    free = [v for v in range(problem.size) if v not in a]
-    nlow = min(len(free), _STREAM_BITS)
-    high, low = free[:len(free) - nlow], free[len(free) - nlow:]
-    rows = np.zeros((2 ** nlow, problem.size), dtype=np.uint8)
-    for v, allele in a.items():
-        rows[:, v] = allele
-    rows[:, low] = bit_rows(np.arange(2 ** nlow), nlow)
-    out = np.empty(2 ** len(free), dtype=np.int64)
-    for chunk in range(2 ** len(high)):
-        rows[:, high] = unpack_bits(chunk, len(high))
-        out[chunk << nlow:(chunk + 1) << nlow] = problem.evaluate_many(rows)
-    return out
-
-
 @dataclass(frozen=True)
 class OptimaGrid:
     """Constrained optima of ``a | p`` for every pattern ``p`` on ``loci``.
@@ -245,7 +225,8 @@ def optima_grid(problem, a: Assignment, loci: Iterable[int], cap: int = DEFAULT_
 
 
 def _scan(problem, a: Assignment, loci: Iterable[int], cap: int) -> tuple[OptimaGrid, np.ndarray]:
-    """The optima grid and each maximizer's flat index (row bits above column bits)."""
+    """The optima grid and each maximizer's flat index (row bits above column
+    bits), from the one fitness source ``problem.completions(a)``."""
     size = problem.size
     loci = tuple(sorted(set(loci)))
     for v in (*a, *loci):
@@ -256,18 +237,10 @@ def _scan(problem, a: Assignment, loci: Iterable[int], cap: int) -> tuple[Optima
     nfree = size - len(a)
     if nfree > 0 and 2 ** nfree > cap:
         raise EnumerationCapError(2 ** nfree, cap)
-    table = problem.fitness_table(2 ** nfree)
-    if table is None:
-        values = completion_fitness(problem, a).reshape((2,) * nfree)
-    else:  # a view of the table as a 2x...x2 tensor, assigned axes fixed
-        index = [slice(None)] * size
-        for v, allele in a.items():
-            index[v] = allele
-        values = table.reshape((2,) * size)[tuple(index)]
     unassigned = [v for v in range(size) if v not in a]
     free = tuple(v for v in unassigned if v not in loci)
     # rows: patterns on loci; columns: completions of the free loci
-    values = np.asarray(values).transpose([unassigned.index(v) for v in loci + free])
+    values = problem.completions(a).transpose([unassigned.index(v) for v in loci + free])
     values = values.reshape(2 ** len(loci), 2 ** len(free))
     best = values.max(axis=1)
     hit = values == best[:, None]

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import bits_from_str, pack_bits, popcounts
+from .model import EMPTY, bits_from_str, pack_bits, popcounts
 
 FITNESS_SCALE = 2
 
@@ -52,13 +52,13 @@ class FitnessProblem:
     Each kind states its fitness once, over relabeled chromosomes ``y``
     (``y[i] = x[permutation[i]]``, identity by default), and its
     constructor relabels it onto chromosome loci once.  Its rows,
-    ``raw_evaluate_many``, and its dense ``_dtype`` table, ``_tabulate``,
-    then read chromosome loci directly; no table is built by evaluating
-    rows.  The fitness never changes after construction, but an
-    instance is not immutable: it fills two single-value caches lazily,
-    with no locking — the global optimum (``_g``) and the dense fitness
-    table (``_table``, once a caller's work pays for it).  Each worker
-    process fills its own copy.
+    ``raw_evaluate_many``, and the ``_dtype`` tensor of an assignment's
+    completions, ``_tabulate``, read chromosome loci directly; exact
+    enumeration reads ``completions`` and evaluates no row.  The fitness
+    never changes after construction, but an instance is not immutable: it
+    fills two single-value caches lazily, with no locking — the global
+    optimum (``_g``) and the dense fitness table (``_table``, once a
+    caller's work pays for it).  Each worker process fills its own copy.
     """
 
     def __init__(self, name: str, size: int, permutation: Sequence[int] | None = None):
@@ -86,8 +86,8 @@ class FitnessProblem:
 
     def evaluate_many(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if arr.shape[1] != self.size:
-            raise ValueError(f"chromosome length {arr.shape[1]} != problem size {self.size}")
+        if arr.ndim != 2 or arr.shape[1] != self.size:
+            raise ValueError(f"chromosome rows of shape {arr.shape} != (rows, {self.size})")
         return self.raw_evaluate_many(arr)
 
     def fitness_table(self, work: int | None = None) -> np.ndarray | None:
@@ -103,18 +103,35 @@ class FitnessProblem:
         """
         pays = work is None or work >= 2 ** self.size
         if self._table is None and pays and self._dtype.itemsize << self.size <= _TABLE_BUDGET:
-            self._table = self._tabulate()
+            self._table = self._tabulate(EMPTY).reshape(-1)
         return self._table
+
+    def completions(self, a) -> np.ndarray:
+        """Scaled fitness of every completion of the assignment ``a``: a
+        ``_dtype`` tensor with an axis of 2 per unassigned locus, in order.  A
+        view of the table if ``fitness_table`` gives one for this work, else
+        tabulated by the kind for ``a`` alone, and not cached."""
+        table = self.fitness_table(2 ** (self.size - len(a)))
+        return self._tabulate(a) if table is None else _fixed(table, self.size, a)
 
     #: The integer type of the table.
     _dtype = np.dtype(np.int64)
 
-    def _tabulate(self) -> np.ndarray:
-        """The flat ``_dtype`` table ``fitness_table`` caches, indexed by chromosome."""
+    def _tabulate(self, a) -> np.ndarray:
+        """The ``_dtype`` tensor of ``completions(a)``, built without a table."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} size={self.size}>"
+
+
+def _fixed(table: np.ndarray, size: int, a) -> np.ndarray:
+    """The completions of ``a`` as a view of a flat ``table`` of every
+    chromosome (the Ellipsis keeps a full assignment's a 0-d array)."""
+    index = [slice(None)] * size
+    for v, allele in a.items():
+        index[v] = allele
+    return table.reshape((2,) * size)[(*index, ...)]
 
 
 class _BlockSum(FitnessProblem):
@@ -126,10 +143,10 @@ class _BlockSum(FitnessProblem):
     Rows: one float32 product with a 0/1 (loci x blocks) indicator counts
     each block's ones (exact for blocks of up to 2^24 loci), and one
     ``take`` of the flat scaled scores, offset per block, scores them.
-    Table: each block's scores are broadcast onto its axes and summed, so
-    no row is evaluated.  The table is filled and kept in ``_dtype``, the
-    smallest integer type that holds the sum of the blocks' highest scores
-    and so every value of a plain or gated sum.
+    Completions: each block's scores are broadcast onto the axes of its
+    free loci and summed, so no row is evaluated.  They are filled and kept
+    in ``_dtype``, the smallest integer type that holds the sum of the
+    blocks' highest scores and so every value of a plain or gated sum.
     """
 
     def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
@@ -151,22 +168,25 @@ class _BlockSum(FitnessProblem):
         # a product with ones sums these short rows faster than sum(axis=1)
         return self._scores.take(index) @ np.ones(len(self.blocks), dtype=np.int64)
 
-    def _block_ones(self):
-        """Each block's number of ones, as a contiguous ``_dtype`` tensor over
-        the table axes of its loci, and the block's scaled scores.  The
-        count is the popcount of the block's own bits, whatever their order
-        (every ``_dtype`` holds 255, and a table has far fewer loci)."""
+    def _block_ones(self, a):
+        """Per block, its number of ones on the loci ``a`` leaves free, as a
+        contiguous ``_dtype`` tensor over the completion axes of those loci,
+        and its scaled scores from the number of ones ``a`` assigns it on.
+        The count is the popcount of the block's free bits, whatever their
+        order (every ``_dtype`` holds 255, and a table has far fewer loci)."""
+        free = [v for v in range(self.size) if v not in a]
         scores = self._scores.astype(self._dtype)
         for block, offset in zip(self.blocks, self._offsets):
-            shape = [2 if v in block else 1 for v in range(self.size)]
-            yield (popcounts(len(block), self._dtype).reshape(shape),
-                   scores[offset:offset + len(block) + 1])
+            assigned = [a[v] for v in block if v in a]
+            shape = [2 if v in block else 1 for v in free]
+            yield (popcounts(len(block) - len(assigned), self._dtype).reshape(shape),
+                   scores[offset + sum(assigned):offset + len(block) + 1])
 
-    def _tabulate(self):
-        table = np.zeros((2,) * self.size, dtype=self._dtype)
-        for ones, scores in self._block_ones():
+    def _tabulate(self, a):
+        table = np.zeros((2,) * (self.size - len(a)), dtype=self._dtype)
+        for ones, scores in self._block_ones(a):
             table += _score_in_place(ones, scores)
-        return table.reshape(-1)
+        return table
 
 
 #: Entries scored per gather in ``_score_in_place``.
@@ -188,9 +208,9 @@ class _Leading(_BlockSum):
     earlier block is all ones.
 
     Rows: a row's fitness is the top scores of the blocks before its first
-    block that is not all ones, plus that block's own score.  Table: by
-    Horner's rule from the last block, ``T_i = s_i + [block i all ones] *
-    T_(i+1)``, in place on one accumulator.
+    block that is not all ones, plus that block's own score.  Completions:
+    by Horner's rule from the last block, ``T_i = s_i + [block i all ones] *
+    T_(i+1)``, in place on one accumulator (an assigned 0 shuts a gate).
     """
 
     def __init__(self, *args, **kwargs):
@@ -208,12 +228,12 @@ class _Leading(_BlockSum):
         index += self._offsets[first]
         return self._before[first] + self._scores[index]
 
-    def _tabulate(self):
-        table = np.zeros((2,) * self.size, dtype=self._dtype)
-        for (ones, scores), block in reversed(list(zip(self._block_ones(), self.blocks))):
-            table *= ones == len(block)
+    def _tabulate(self, a):
+        table = np.zeros((2,) * (self.size - len(a)), dtype=self._dtype)
+        for ones, scores in reversed(list(self._block_ones(a))):
+            table *= ones == len(scores) - 1  # the block is all ones
             table += _score_in_place(ones, scores)
-        return table.reshape(-1)
+        return table
 
 
 class OneMax(_BlockSum):
@@ -330,14 +350,18 @@ class LookupTable(FitnessProblem):
         default: float = 0,
         **kwargs,
     ) -> "LookupTable":
-        """Build a dense table from (bitstring, value) pairs; missing entries take ``default``."""
+        """Build a dense table from (bitstring, value) pairs, each key once;
+        missing entries take ``default``."""
         if isinstance(pairs, Mapping):
             pairs = pairs.items()
-        values = [default] * (2 ** size)
+        values, listed = [default] * (2 ** size), set()
         for key, value in pairs:
             bits = bits_from_str(key)
             if len(bits) != size:
                 raise ProblemSpecError(f"key {key!r} has length {len(bits)}, expected {size}")
+            if key in listed:
+                raise ProblemSpecError(f"key {key!r} is listed twice")
+            listed.add(key)
             values[pack_bits(bits)] = value
         return cls(values, **kwargs)
 
@@ -345,8 +369,8 @@ class LookupTable(FitnessProblem):
         weights = 1 << np.arange(self.size - 1, -1, -1, dtype=np.int64)
         return self.values[xs.astype(np.int64) @ weights]
 
-    def _tabulate(self):
-        return self.values
+    def _tabulate(self, a):
+        return _fixed(self.values, self.size, a)
 
 
 class ProblemSpecError(ValueError):

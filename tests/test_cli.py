@@ -653,6 +653,14 @@ class TestUserErrorsExitTwo:
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith(f"error: {field!r} must be ")
 
+    def test_pairs_key_listed_twice(self, capsys, tmp_path):
+        # a JSON object keeps only its last duplicate key; a list keeps both
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "lookup-table", "l": 2,
+                                    "pairs": [["01", 1], ["01", 5]]}))
+        code, out, err = run(capsys, "decompose", "--spec", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "error: key '01' is listed twice\n")
+
     def test_internal_value_error_is_not_a_parse_error(self, capsys, monkeypatch):
         from epilink import graph
 

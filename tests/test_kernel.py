@@ -1,12 +1,13 @@
 """The enumeration kernel against plain itertools brute force.
 
-``optima_grid`` (and ``constrained_optima``, its one-row case) reads
-completions either as a view of the dense fitness table or, where
-``fitness_table`` gives none, streamed through ``evaluate_many``.  Each
-property runs on both paths: the streaming path is reached by hiding the
-table, and its chunking by shrinking the chunk.  ``TestTableRule`` checks
-when the table is built, and the streaming path reached by a shrunken
-byte budget.
+``optima_grid`` (and ``constrained_optima``, its one-row case) reads the
+fitness of every completion from ``FitnessProblem.completions``: a view of
+the dense fitness table or, where ``fitness_table`` gives none, the
+completions of the assignment alone, tabulated by the kind without
+evaluating a row.  Each property runs on three paths: the table built
+first, the table hidden, and a byte budget of 1 that refuses every table.
+``TestTableRule`` checks when the table is built, and that a scan without
+one evaluates no row.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink import model, problems
+from epilink import problems
 from epilink.graph import EpistaticGraph, build_eg
 from epilink.model import (
     EMPTY,
@@ -32,9 +33,9 @@ from epilink.model import (
     unpack_bits,
 )
 from epilink.oracles import is_stationary_optimum
-from epilink.problems import CTrap, LeadingOnes, LookupTable, OneMax
+from epilink.problems import CTrap, LeadingOnes, LeadingTraps, LookupTable, OneMax
 
-PATHS = ("table", "stream", "stream-chunked")
+PATHS = ("table", "no-table", "over-budget")
 
 
 @st.composite
@@ -56,14 +57,15 @@ def lookup_and_assignment(draw, max_size=10, min_assigned=0):
 @contextlib.contextmanager
 def on_path(problem, path):
     """Context in which ``constrained_optima`` takes the given path.  The
-    table path builds the table first: a lone restricted scan would stream."""
+    table path builds the table first: a lone restricted scan would not.
+    On the other two the kind tabulates each scan's completions alone."""
     with contextlib.ExitStack() as stack:
         if path == "table":
             problem.fitness_table()
-        else:
+        elif path == "no-table":
             stack.enter_context(patch.object(problem, "fitness_table", return_value=None))
-        if path == "stream-chunked":
-            stack.enter_context(patch.object(model, "_STREAM_BITS", 2))
+        else:
+            stack.enter_context(patch.object(problems, "_TABLE_BUDGET", 1))
         yield
 
 
@@ -106,11 +108,13 @@ class TestConstrainedOptimaDifferential:
         assert opt.chromosomes[0] == (0,) * 12 and opt.chromosomes[-1] == (0,) + (1,) * 11
 
     def test_full_assignment_streamed(self):
-        p = CTrap(2)
+        # one completion: a 0-d view of the table, or a 0-d tabulation
         c = (1, 1, 1, 1, 0, 1, 0, 0)
-        with on_path(p, "stream"):
-            opt = constrained_optima(p, Assignment(enumerate(c)))
-        assert (opt.fitness, opt.count, opt.chromosomes) == (p.evaluate(c), 1, (c,))
+        for cls, path in itertools.product((CTrap, LeadingTraps), PATHS):
+            p = cls(2)
+            with on_path(p, path):
+                opt = constrained_optima(p, Assignment(enumerate(c)))
+            assert (opt.fitness, opt.count, opt.chromosomes) == (p.evaluate(c), 1, (c,))
 
 
 class TestOptimaGridDifferential:
@@ -164,18 +168,22 @@ class TestOptimaGridDifferential:
 
 
 class TestStreamingLayout:
+    """How completions and tables are laid out: entry r spells r on the
+    free loci, the lowest locus most significant."""
+
     @settings(max_examples=40, deadline=None)
     @given(case=lookup_and_assignment(max_size=8))
     def test_completion_order(self, case):
         problem, a = case
         free = [v for v in range(problem.size) if v not in a]
-        with patch.object(model, "_STREAM_BITS", 2):
-            got = model.completion_fitness(problem, a)
         want = []
         for r in range(2 ** len(free)):
             bits = dict(zip(free, unpack_bits(r, len(free))))
             want.append(problem.evaluate(a.apply(tuple(bits.get(v, 0) for v in range(problem.size)))))
-        assert got.tolist() == want
+        for path in reversed(PATHS):  # the table path last: it keeps the table
+            with on_path(problem, path):
+                got = problem.completions(a)
+            assert got.shape == (2,) * len(free) and got.reshape(-1).tolist() == want
 
     def test_fitness_table_is_every_chromosome(self):
         p = CTrap(3)
@@ -253,12 +261,13 @@ class TestTableRule:
     and the table, at its own entry size, fits the byte budget."""
 
     def test_small_restricted_scan_streams(self):
+        # 2^5 completions: the kind tabulates them alone, and evaluates no row
         p = OneMax(20)
         with rows_evaluated(p) as spy:
             opt = constrained_optima(p, Assignment((v, 1) for v in range(15)))
         assert (opt.fitness, opt.count) == (40, 1)
         assert p.fitness_table(0) is None
-        assert sum(len(c.args[0]) for c in spy.call_args_list) == 32
+        assert not spy.called
 
     def test_budget(self):
         assert OneMax(21).fitness_table().shape == (2 ** 21,)
@@ -284,10 +293,12 @@ class TestTableRule:
         streamed, tabled = cls("edge", 6, blocks, scores), cls("edge", 6, blocks, scores)
         table = tabled.fitness_table()
         assert table.dtype == dtype and int(table.max()) == 110 + 55 + 2 * top
-        assert np.array_equal(table, model.completion_fitness(tabled, EMPTY))
+        assert np.array_equal(table, tabled.evaluate_many(bit_rows(np.arange(2 ** 6), 6)))
         with patch.object(problems, "_TABLE_BUDGET", 1), rows_evaluated(streamed) as spy:
+            completions = streamed.completions(EMPTY)
+            assert completions.dtype == dtype and np.array_equal(completions.reshape(-1), table)
             G = build_eg(streamed)
-        assert streamed.fitness_table(0) is None and spy.called
+        assert streamed.fitness_table(0) is None and not spy.called
         assert G == build_eg(tabled) == brute_force_eg(streamed, (1,) * 6)
 
     def test_work_below_the_table_builds_nothing(self):
@@ -309,7 +320,8 @@ class TestTableRule:
             g = global_optimum(streamed)
             G = build_eg(streamed)
             grid = optima_grid(streamed, a, loci)
-        assert streamed.fitness_table(0) is None and spy.called
+        # each scan indexes the values of the completions it reads, no row
+        assert streamed.fitness_table(0) is None and not spy.called
         assert g == global_optimum(tabled) == unpack_bits(int(values.argmax()), 10)
         assert G == build_eg(tabled) == brute_force_eg(streamed, g)
         assert any(kind == "nonstrict" for *_, kind in G.edges)

@@ -1,5 +1,6 @@
 """Benchmark fitness functions, permutation wrapping, and spec parsing."""
 
+import contextlib
 import tracemalloc
 from unittest.mock import patch
 
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilink import model, problems
+from epilink import problems
 from epilink.model import (
     EMPTY,
+    Assignment,
     bit_rows,
     bits_from_str,
-    completion_fitness,
     global_optimum,
     pack_bits,
     unpack_bits,
@@ -120,6 +121,17 @@ FORMULAS = {
 
 def every_row(size):
     return bit_rows(np.arange(2 ** size), size)
+
+
+def completion_rows(problem, a):
+    """The row reference of ``FitnessProblem.completions``: ``evaluate_many``
+    over every completion of ``a``, entry r spelling r on the free loci."""
+    free = [v for v in range(problem.size) if v not in a]
+    rows = np.zeros((2 ** len(free), problem.size), dtype=np.uint8)
+    for v, allele in a.items():
+        rows[:, v] = allele
+    rows[:, free] = every_row(len(free))
+    return problem.evaluate_many(rows)
 
 
 class TestSubfunctions:
@@ -238,6 +250,11 @@ class TestBenchmarks:
         with pytest.raises(ValueError):
             OneMax(4).evaluate((1, 1, 1))
 
+    @pytest.mark.parametrize("shape", [(2,), (), (1, 1, 2)])
+    def test_rows_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"!= \(rows, 2\)"):
+            OneMax(2).evaluate_many(np.zeros(shape, dtype=np.uint8))
+
 
 class TestGlobalOptima:
     @pytest.mark.parametrize(
@@ -333,7 +350,7 @@ class TestDerivedFitness:
     @given(case=tabulated_kinds())
     def test_table_is_every_row(self, case):
         problem, _ = case
-        table, rows = problem.fitness_table(), completion_fitness(problem, EMPTY)
+        table, rows = problem.fitness_table(), completion_rows(problem, EMPTY)
         assert table.dtype == problem._dtype and rows.dtype == np.int64
         assert np.array_equal(table, rows)
 
@@ -349,14 +366,78 @@ class TestDerivedFitness:
     @settings(max_examples=30, deadline=None)
     @given(case=tabulated_kinds())
     def test_streamed_rows_above_the_budget(self, case):
+        # above the budget the completions of the empty assignment are
+        # tabulated on each call, and match the formula
         problem, formula = case
-        with patch.object(problems, "_TABLE_BUDGET", 1 << 2), \
-                patch.object(model, "_STREAM_BITS", 2):
+        with patch.object(problems, "_TABLE_BUDGET", 1 << 2):
             assert problem.size <= 2 or problem.fitness_table() is None
-            streamed = completion_fitness(problem, EMPTY)
-        assert streamed.tolist() == [
+            completions = problem.completions(EMPTY)
+        assert completions.reshape(-1).tolist() == [
             FITNESS_SCALE * formula(y) for y in permuted(problem, every_row(problem.size)).tolist()
         ]
+
+
+#: "table": the table is built first, so completions are a view of it;
+#: "no-table": it is hidden; "over-budget": a byte budget of 1 refuses it.
+SOURCES = ("table", "no-table", "over-budget")
+
+
+@contextlib.contextmanager
+def completion_source(problem, source):
+    """Context in which ``problem.completions`` takes the ``source`` path and
+    may evaluate no row."""
+    with contextlib.ExitStack() as stack:
+        if source == "table":
+            problem.fitness_table()
+        elif source == "no-table":
+            stack.enter_context(patch.object(problem, "fitness_table", return_value=None))
+        else:
+            stack.enter_context(patch.object(problems, "_TABLE_BUDGET", 1))
+        refuse = AssertionError("completions evaluated a row")
+        stack.enter_context(patch.object(FitnessProblem, "evaluate_many", side_effect=refuse))
+        yield
+
+
+def check_completions(problem, a, source):
+    """``completions(a)`` on ``source`` against ``evaluate_many`` over every
+    completion of ``a``."""
+    want = completion_rows(problem, a)
+    with completion_source(problem, source):
+        got = problem.completions(a)
+    assert problem.fitness_table(0) is None or source == "table"
+    assert isinstance(got, np.ndarray) and got.dtype == problem._dtype
+    assert got.shape == (2,) * (problem.size - len(a))
+    assert got.reshape(-1).tolist() == want.tolist()
+
+
+class TestCompletions:
+    """``completions`` against the rows, for every kind, with and without a
+    permutation, under random assignments, with and without a table."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @settings(max_examples=60, deadline=None)
+    @given(case=tabulated_kinds(), data=st.data())
+    def test_matches_the_rows(self, source, case, data):
+        problem, _ = case
+        loci = data.draw(st.lists(st.integers(0, problem.size - 1), unique=True))
+        alleles = data.draw(st.lists(st.integers(0, 1), min_size=len(loci), max_size=len(loci)))
+        check_completions(problem, Assignment(zip(loci, alleles)), source)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["identity", "permuted"])
+    @pytest.mark.parametrize("kind", ["leadingtraps", "leadingones", "cyctrap-m4",
+                                      "onemax-prime", "ctrap"])
+    def test_assigned_blocks(self, kind, shuffle, source):
+        # block 0 fully assigned ones, so a gate stays open, and block 1
+        # broken by one assigned 0, so a gate shuts; then every locus assigned
+        build, _ = FORMULAS[kind]
+        size = build(None).size
+        problem = build(np.random.default_rng(size).permutation(size).tolist() if shuffle else None)
+        first, second = problem.blocks[:2]
+        a = Assignment([(v, 1) for v in first] + [(second[-1], 0)])
+        check_completions(problem, a, source)
+        check_completions(problem, a | Assignment((v, v % 2) for v in range(size) if v not in a),
+                          source)
 
 
 class TestTableEvaluatesNoRow:
@@ -452,6 +533,10 @@ class TestLookupTable:
     def test_from_pairs_length_check(self):
         with pytest.raises(ProblemSpecError):
             LookupTable.from_pairs(3, {"11": 1})
+
+    def test_from_pairs_key_listed_twice(self):
+        with pytest.raises(ProblemSpecError, match="'01' is listed twice"):
+            LookupTable.from_pairs(2, [("01", 1), ("10", 2), ("01", 5)])
 
     @pytest.mark.parametrize(
         "problem",
