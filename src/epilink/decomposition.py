@@ -38,9 +38,9 @@ def partial_enumeration(
 
     Counts exactly 1 + sum(2^|block|) fitness evaluations: the random
     start, then every pattern of each block written into the current
-    chromosome.  Only the start is evaluated as a row; a block's patterns
-    are the completions of the other loci's current alleles.  With the
-    one-block partition this is plain full enumeration.
+    chromosome.  No row is evaluated: the start is read as the completion
+    of its full assignment, a block's patterns as the completions of the
+    other loci's current alleles.  One block is plain full enumeration.
     """
     blocks = [sorted(set(b)) for b in partition]
     flat = [v for b in blocks for v in b]
@@ -52,7 +52,7 @@ def partial_enumeration(
 
     rng = np.random.default_rng(seed)
     y = tuple(int(x) for x in rng.integers(0, 2, size=problem.size))
-    best = int(problem.evaluate_many(np.array([y], dtype=np.uint8))[0])
+    best = int(problem.completions(Assignment.batch_pattern(range(problem.size), y)))
     evaluations = 1
     for b in blocks:
         # Every candidate rewrites all of b, so keeping strict improvements

@@ -21,6 +21,7 @@ from .model import (
     EMPTY,
     Assignment,
     OptimaGrid,
+    check_loci,
     global_optimum,
     optima_grid,
     psi_at,
@@ -49,6 +50,7 @@ def order1(problem, u: int, v: int, cap: int = DEFAULT_CAP) -> EpistasisKind:
     Only the complement assignment at u needs enumeration: constraining u
     to its globally optimal allele provably leaves v optimal.
     """
+    check_loci(problem.size, (u, v))
     if u == v:
         raise ValueError("order-1 epistasis needs two distinct loci")
     g = global_optimum(problem, cap)
@@ -81,6 +83,7 @@ def _first_witnesses(grid: OptimaGrid) -> np.ndarray:
 def epistatic(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether S is |S|-epistatic to v (every member has a witness assignment)."""
     S = frozenset(S)
+    check_loci(problem.size, (v,))  # an empty S reaches no scan
     if v in S:
         raise ValueError("the target locus may not belong to S")
     return bool(S) and witnesses(problem, S, v, cap) is not None
@@ -88,6 +91,7 @@ def epistatic(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> bool
 
 def witnesses(problem, S: Iterable[int], v: int, cap: int = DEFAULT_CAP) -> dict[int, Assignment] | None:
     """Per-member witness assignments, or None if S is not epistatic to v."""
+    check_loci(problem.size, (v,))  # the grid refuses S's loci
     grid = optima_grid(problem, EMPTY, S, cap)
     rows = _first_witnesses(grid)[:, v]
     if (rows < 0).any():

@@ -224,14 +224,19 @@ def optima_grid(problem, a: Assignment, loci: Iterable[int], cap: int = DEFAULT_
     return _scan(problem, a, loci, cap)[0]
 
 
+def check_loci(size: int, loci: Iterable[int]) -> None:
+    """Refuse any of ``loci`` outside [0, size)."""
+    for v in loci:
+        if not 0 <= v < size:
+            raise ValueError(f"locus {v} out of range for problem size {size}")
+
+
 def _scan(problem, a: Assignment, loci: Iterable[int], cap: int) -> tuple[OptimaGrid, np.ndarray]:
     """The optima grid and each maximizer's flat index (row bits above column
     bits), from the one fitness source ``problem.completions(a)``."""
     size = problem.size
     loci = tuple(sorted(set(loci)))
-    for v in (*a, *loci):
-        if v >= size:
-            raise ValueError(f"locus {v} out of range for problem size {size}")
+    check_loci(size, (*a, *loci))  # before the cap, which counts a's loci as assigned
     if any(v in a for v in loci):
         raise ValueError("grid loci must be unassigned")
     nfree = size - len(a)

@@ -13,8 +13,10 @@ import numpy as np
 
 from .model import (
     DEFAULT_CAP,
+    EMPTY,
     Assignment,
     EnumerationCapError,
+    check_loci,
     global_optimum,
     optima_grid,
     popcounts,
@@ -71,12 +73,12 @@ _FULL_SCAN_MAX = 2 ** 22
 
 
 def _fitness_table(problem, cap: int) -> np.ndarray:
-    """The fitness table; refused, before any scan, when the cap or else
-    ``_FULL_SCAN_MAX`` refuses 2^size."""
+    """The fitness table, one axis per locus, as ``completions(EMPTY)``;
+    refused, before any scan, when the cap or ``_FULL_SCAN_MAX`` refuses 2^size."""
     for limit in (cap, _FULL_SCAN_MAX):
         if 2 ** problem.size > limit:
             raise EnumerationCapError(2 ** problem.size, limit)
-    return problem.fitness_table()
+    return problem.completions(EMPTY)
 
 
 def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> bool:
@@ -84,11 +86,10 @@ def is_stationary_optimum(problem, a: Assignment, cap: int = DEFAULT_CAP) -> boo
     coverage under every completion of the remaining loci (full scan)."""
     if len(a) == 0:
         raise ValueError("a stationary optimum must be a nonempty assignment")
-    fits = _fitness_table(problem, cap).reshape((2,) * problem.size)
-    # the candidate's fitness per completion of the free loci, a strided
-    # view broadcast back over the assigned axes
-    candidate = fits[tuple(a[v] if v in a else slice(None) for v in range(problem.size))]
-    candidate = np.expand_dims(candidate, sorted(a.coverage))
+    fits = _fitness_table(problem, cap)
+    # the candidate's fitness per completion of the free loci, a view of
+    # the table broadcast back over the assigned axes
+    candidate = np.expand_dims(problem.completions(a), sorted(a.coverage))
     # it beats every rival under every completion iff it is the only
     # entry of each completion at or above its own value
     return np.count_nonzero(fits >= candidate) == candidate.size
@@ -112,7 +113,7 @@ def minimum_stationary_optima(problem, cap: int = DEFAULT_CAP) -> tuple[Assignme
     g = global_optimum(problem, cap)
     size = problem.size
     # h[x]: the fitness with the loci of x set wrong
-    h = np.flip(table.reshape((2,) * size), np.flatnonzero(g))
+    h = np.flip(table, np.flatnonzero(g))
     # locus u's bit in a packed index, in the smallest type that holds them all
     place = (1 << np.arange(size - 1, -1, -1)).astype(np.min_scalar_type(2 ** size - 1))
     reach = np.zeros(h.shape, dtype=place.dtype)
@@ -194,6 +195,7 @@ def verify_blanket(
     second in-tier, unless ``weak``, the bounded audit's finds, names a
     witness."""
     S = frozenset(S)
+    check_loci(problem.size, S)
     report = TheoremReport(problem.name)
     if weak:
         Sw, vw = weak[0]

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EMPTY, bits_from_str, pack_bits, popcounts
+from .model import EMPTY, bits_from_str, check_loci, pack_bits, popcounts
 
 FITNESS_SCALE = 2
 
@@ -53,8 +53,8 @@ class FitnessProblem:
     (``y[i] = x[permutation[i]]``, identity by default), and its
     constructor relabels it onto chromosome loci once.  Its rows,
     ``raw_evaluate_many``, and the ``_dtype`` tensor of an assignment's
-    completions, ``_tabulate``, read chromosome loci directly; exact
-    enumeration reads ``completions`` and evaluates no row.  The fitness
+    completions, ``_tabulate``, read chromosome loci directly; every exact
+    answer reads ``completions`` and evaluates no row.  The fitness
     never changes after construction, but an instance is not immutable: it
     fills two single-value caches lazily, with no locking — the global
     optimum (``_g``) and the dense fitness table (``_table``, once a
@@ -107,10 +107,11 @@ class FitnessProblem:
         return self._table
 
     def completions(self, a) -> np.ndarray:
-        """Scaled fitness of every completion of the assignment ``a``: a
-        ``_dtype`` tensor with an axis of 2 per unassigned locus, in order.  A
-        view of the table if ``fitness_table`` gives one for this work, else
-        tabulated by the kind for ``a`` alone, and not cached."""
+        """Scaled fitness of every completion of ``a``, whose loci must be below
+        ``size``: a ``_dtype`` tensor with an axis of 2 per unassigned locus, in
+        order.  A view of the table if ``fitness_table`` gives one for this
+        work, else tabulated by the kind for ``a`` alone, and not cached."""
+        check_loci(self.size, a)
         table = self.fitness_table(2 ** (self.size - len(a)))
         return self._tabulate(a) if table is None else _fixed(table, self.size, a)
 

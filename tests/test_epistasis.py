@@ -1,6 +1,7 @@
 """Epistasis detection and the weak-epistasis audit."""
 
 import itertools
+from unittest.mock import patch
 
 import pytest
 
@@ -124,3 +125,27 @@ class TestProp4AndProp7:
                             for S in itertools.combinations(sub, r)
                         )
 
+
+class TestLociOutOfRange:
+    """A locus outside [0, size) is refused before any scan, as a negative
+    one would otherwise read from the end and a large one fail in numpy."""
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda p: ep.order1(p, 1, 9), 9),
+        (lambda p: ep.order1(p, 9, 1), 9),
+        (lambda p: ep.order1(p, -1, 1), -1),
+        (lambda p: ep.order1(p, 1, -8), -8),
+        (lambda p: ep.witnesses(p, {1}, -8), -8),
+        (lambda p: ep.witnesses(p, {1}, 8), 8),
+        (lambda p: ep.witnesses(p, {-1}, 2), -1),
+        (lambda p: ep.witnesses(p, {9}, 2), 9),
+        (lambda p: ep.epistatic(p, {1}, -8), -8),
+        (lambda p: ep.epistatic(p, {1}, 8), 8),
+        (lambda p: ep.epistatic(p, set(), 99), 99),
+    ])
+    def test_refused_before_any_scan(self, call, bad):
+        p = CTrap(2)
+        scanned = AssertionError("a locus out of range reached a scan")
+        with patch.object(p, "completions", side_effect=scanned):
+            with pytest.raises(ValueError, match=f"^locus {bad} out of range for problem size 8$"):
+                call(p)

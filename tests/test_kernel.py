@@ -33,25 +33,63 @@ from epilink.model import (
     unpack_bits,
 )
 from epilink.oracles import is_stationary_optimum
-from epilink.problems import CTrap, LeadingOnes, LeadingTraps, LookupTable, OneMax
+from epilink.problems import (
+    CTrap,
+    CycTrap,
+    LeadingOnes,
+    LeadingTraps,
+    LookupTable,
+    OneMax,
+    OneMaxPrimeConcat,
+)
 
 PATHS = ("table", "no-table", "over-budget")
 
 
+def draw_assignment(draw, size, min_assigned):
+    """A random assignment of at least ``min_assigned`` of ``size`` loci."""
+    loci = draw(st.lists(st.integers(0, size - 1), unique=True,
+                         min_size=min(min_assigned, size)))
+    alleles = draw(st.lists(st.integers(0, 1), min_size=len(loci), max_size=len(loci)))
+    return Assignment(zip(loci, alleles))
+
+
 @st.composite
-def lookup_and_assignment(draw, max_size=10, min_assigned=0):
-    """A random half-integer lookup table and a random partial assignment
-    on it.  Tables with few distinct values make ties common; tables of all
-    distinct values make stationary optima common."""
+def lookup_and_assignment(draw, max_size=10, min_assigned=0, permuted=False):
+    """A random half-integer lookup table, under a random permutation if
+    ``permuted``, and a random partial assignment on it.  Tables with few
+    distinct values make ties common; tables of all distinct values make
+    stationary optima common."""
     size = draw(st.integers(1, max_size))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     levels = draw(st.sampled_from([1, 2, 3, 6, 2 ** size]))
     rng = np.random.default_rng(seed)
     values = rng.integers(0, levels, size=2 ** size) / 2
-    loci = draw(st.lists(st.integers(0, size - 1), unique=True,
-                         min_size=min(min_assigned, size)))
-    alleles = draw(st.lists(st.integers(0, 1), min_size=len(loci), max_size=len(loci)))
-    return LookupTable(values.tolist()), Assignment(zip(loci, alleles))
+    a = draw_assignment(draw, size, min_assigned)
+    perm = draw(st.permutations(range(size))) if permuted else None
+    return LookupTable(values.tolist(), perm), a
+
+
+#: Block kinds of at most 8 loci, each built from a permutation.
+SMALL_KINDS = (
+    lambda perm: CTrap(2, perm),
+    lambda perm: LeadingTraps(2, perm),
+    lambda perm: CycTrap(2, perm),
+    lambda perm: LeadingOnes(8, perm),
+    lambda perm: OneMaxPrimeConcat((2, 3), perm),
+)
+
+
+@st.composite
+def permuted_block_kind_and_assignment(draw):
+    """A block kind of ``SMALL_KINDS`` under a random permutation, and a
+    nonempty assignment on it: random, or of optimal (all-one) alleles,
+    which makes stationary optima common."""
+    build = draw(st.sampled_from(SMALL_KINDS))
+    size = build(None).size
+    problem = build(draw(st.permutations(range(size))))
+    a = draw_assignment(draw, size, 1)
+    return problem, Assignment((v, 1) for v in a) if draw(st.booleans()) else a
 
 
 @contextlib.contextmanager
@@ -154,6 +192,11 @@ class TestOptimaGridDifferential:
         p = CTrap(2)
         with pytest.raises(ValueError, match="out of range"):
             optima_grid(p, EMPTY, [8])
+        with pytest.raises(ValueError, match="out of range"):
+            optima_grid(p, EMPTY, [-1])
+        # refused before the cap, which would count locus 40 as assigned
+        with pytest.raises(ValueError, match="^locus 40 out of range for problem size 30$"):
+            constrained_optima(OneMax(30), Assignment({40: 1}))
         with pytest.raises(ValueError, match="unassigned"):
             optima_grid(p, Assignment(((0, 1),)), [0, 1])
 
@@ -219,8 +262,13 @@ def stationary_by_definition(problem, a):
 
 
 class TestStationaryOptimumDifferential:
-    @settings(max_examples=150, deadline=None)
-    @given(case=lookup_and_assignment(max_size=8, min_assigned=1))
+    """``is_stationary_optimum`` reads its candidate as ``completions(a)``,
+    a view of the table; the definition evaluates one row at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(lookup_and_assignment(max_size=8, min_assigned=1),
+                          lookup_and_assignment(max_size=8, min_assigned=1, permuted=True),
+                          permuted_block_kind_and_assignment()))
     def test_matches_definition(self, case):
         problem, a = case
         assert is_stationary_optimum(problem, a) == stationary_by_definition(problem, a)

@@ -283,6 +283,18 @@ class TestBlanket:
         assert not report.applicable
         assert "weak epistasis found" in report.claims[0].detail
 
+    @pytest.mark.parametrize("bad", [-1, 8, 9])
+    def test_locus_out_of_range_refused(self, bad):
+        # before any scan, as -1 would otherwise read locus 7 and 9 fail in numpy
+        p = CTrap(2)
+        G = build_eg(p)
+        scanned = AssertionError("a locus out of range reached a scan")
+        with mock.patch.object(p, "completions", side_effect=scanned):
+            with pytest.raises(ValueError, match=f"^locus {bad} out of range for problem size 8$"):
+                verify_blanket(p, {bad}, G, [])
+            with pytest.raises(ValueError, match=f"^locus {bad} out of range for problem size 8$"):
+                verify_blanket(p, {0, bad}, G, [])
+
     def test_skip_weak_audit(self, cyctrap12):
         # an empty audit passed in: the raw blanket claim itself still holds
         report = verify_blanket(cyctrap12, {1}, build_eg(cyctrap12), [])

@@ -19,6 +19,7 @@ from epilink.model import (
     pack_bits,
     unpack_bits,
 )
+from epilink.oracles import is_stationary_optimum
 from epilink.problems import (
     FITNESS_SCALE,
     CNiah,
@@ -438,6 +439,22 @@ class TestCompletions:
         check_completions(problem, a, source)
         check_completions(problem, a | Assignment((v, v % 2) for v in range(size) if v not in a),
                           source)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["identity", "permuted"])
+    @pytest.mark.parametrize("kind", FORMULAS)
+    def test_locus_out_of_range_refused(self, kind, shuffle, source):
+        # a locus at or above the size is refused, alone or beside a valid one
+        build, _ = FORMULAS[kind]
+        size = build(None).size
+        problem = build(np.random.default_rng(size).permutation(size).tolist() if shuffle else None)
+        for a in (Assignment({size: 1}), Assignment({0: 1, size + 3: 0})):
+            bad = max(a)
+            with completion_source(problem, source):
+                with pytest.raises(ValueError, match=f"^locus {bad} out of range for problem size {size}$"):
+                    problem.completions(a)
+                with pytest.raises(ValueError, match=f"^locus {bad} out of range for problem size {size}$"):
+                    is_stationary_optimum(problem, a)
 
 
 class TestTableEvaluatesNoRow:
