@@ -15,6 +15,7 @@ from .model import (
     Assignment,
     EnumerationCapError,
     bit_rows,
+    check_loci,
     global_optimum,
     unpack_bits,
 )
@@ -92,8 +93,7 @@ def test_so(problem, S: Iterable[int], population: np.ndarray) -> tuple[bool, As
     S = sorted(set(S))
     if not S:
         raise ValueError("S must be nonempty")
-    if S[0] < 0 or S[-1] >= problem.size:
-        raise ValueError(f"S holds loci outside [0, {problem.size}): {S}")
+    check_loci(problem.size, S)
     population = np.asarray(population)
     if population.ndim != 2 or population.shape[1] != problem.size:
         raise ValueError(f"population must be 2-D with {problem.size} columns")

@@ -28,20 +28,8 @@ def unscale(value: int) -> float:
     return out
 
 
-# trap4 and niah4 are the scalar reference formulas of the block kinds,
-# against which the tests check the batched fitness.
-def trap4(b0: int, b1: int, b2: int, b3: int) -> int:
-    """Deceptive 4-bit trap: 4 when all ones, else 3 minus the number of ones."""
-    u = b0 + b1 + b2 + b3
-    return 4 if u == 4 else 3 - u
-
-
-def niah4(b0: int, b1: int, b2: int, b3: int) -> int:
-    """Needle in a haystack: 4 when all ones, 0 otherwise."""
-    return 4 if b0 + b1 + b2 + b3 == 4 else 0
-
-
-#: trap4 and niah4 by the number of ones in the block.
+#: The 4-bit trap and needle-in-a-haystack scores by the number of ones in
+#: the block.
 _TRAP = (3, 2, 1, 0, 4)
 _NIAH = (0, 0, 0, 0, 4)
 
@@ -53,8 +41,9 @@ class FitnessProblem:
     (``y[i] = x[permutation[i]]``, identity by default), and its
     constructor relabels it onto chromosome loci once.  Its rows,
     ``raw_evaluate_many``, and the ``_dtype`` tensor of an assignment's
-    completions, ``_tabulate``, read chromosome loci directly; every exact
-    answer reads ``completions`` and evaluates no row.  The fitness
+    completions, ``_tabulate``, read chromosome loci directly, and a block
+    sum's rows and completions both go through its one ``_combine`` rule;
+    every exact answer reads ``completions`` and evaluates no row.  The fitness
     never changes after construction, but an instance is not immutable: it
     fills two single-value caches lazily, with no locking — the global
     optimum (``_g``) and the dense fitness table (``_table``, once a
@@ -82,12 +71,17 @@ class FitnessProblem:
 
     def evaluate(self, bits: Sequence[int]) -> int:
         """Scaled fitness of one chromosome: one row of ``evaluate_many``."""
-        return int(self.evaluate_many(np.array([bits], dtype=np.uint8))[0])
+        return int(self.evaluate_many(np.array([bits]))[0])
 
     def evaluate_many(self, arr: np.ndarray) -> np.ndarray:
+        """Scaled fitness of each row of ``arr``, a (rows, size) array of 0s
+        and 1s; any other shape or entry is refused."""
         arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[1] != self.size:
             raise ValueError(f"chromosome rows of shape {arr.shape} != (rows, {self.size})")
+        unsigned = arr.dtype.kind in "bu"  # the GA's and the scans' uint8 rows: one cheap pass
+        if not (arr.max(initial=0) <= 1 if unsigned else ((arr == 0) | (arr == 1)).all()):
+            raise ValueError("chromosome entries must be 0 or 1")
         return self.raw_evaluate_many(arr)
 
     def fitness_table(self, work: int | None = None) -> np.ndarray | None:
@@ -141,13 +135,15 @@ class _BlockSum(FitnessProblem):
     each block's number of ones; ``scores[j][u]`` is block j's natural
     score at u ones, and no score is negative.
 
-    Rows: one float32 product with a 0/1 (loci x blocks) indicator counts
-    each block's ones (exact for blocks of up to 2^24 loci), and one
-    ``take`` of the flat scaled scores, offset per block, scores them.
-    Completions: each block's scores are broadcast onto the axes of its
-    free loci and summed, so no row is evaluated.  They are filled and kept
-    in ``_dtype``, the smallest integer type that holds the sum of the
-    blocks' highest scores and so every value of a plain or gated sum.
+    Rows and completions both go through the kind's one ``_combine``, fed
+    each block's ones count and scaled scores.  Rows: one float32 product
+    with a 0/1 (loci x blocks) indicator counts each block's ones (exact
+    for blocks of up to 2^24 loci), one contiguous int64 vector per block,
+    and the fitness is int64.  Completions: each block's count is a
+    popcount broadcast onto the axes of its free loci, so no row is
+    evaluated, and the tensor is filled and kept in ``_dtype``, the
+    smallest integer type that holds the sum of the blocks' highest scores
+    and so every value of a plain or gated sum.
     """
 
     def __init__(self, name: str, size: int, blocks: Sequence[Sequence[int]],
@@ -155,19 +151,28 @@ class _BlockSum(FitnessProblem):
         super().__init__(name, size, permutation)
         perm = self.permutation or range(size)
         self.blocks = tuple(tuple(perm[i] for i in block) for block in blocks)
-        scaled = [FITNESS_SCALE * np.asarray(s) for s in scores]
-        self._scores = np.concatenate(scaled).astype(np.int64)
-        self._offsets = np.cumsum([0] + [len(s) for s in scaled[:-1]])
-        self._dtype = np.min_scalar_type(np.maximum.reduceat(self._scores, self._offsets).sum())
+        scaled = [(FITNESS_SCALE * np.asarray(s)).astype(np.int64) for s in scores]
+        self._dtype = np.min_scalar_type(sum(int(s.max()) for s in scaled))
+        self._scores = [s.astype(self._dtype) for s in scaled]
         self._indicator = np.zeros((size, len(self.blocks)), dtype=np.float32)
         for j, block in enumerate(self.blocks):
             self._indicator[block, j] = 1
 
     def raw_evaluate_many(self, xs):
-        index = (xs @ self._indicator).astype(np.intp)
-        index += self._offsets
-        # a product with ones sums these short rows faster than sum(axis=1)
-        return self._scores.take(index) @ np.ones(len(self.blocks), dtype=np.int64)
+        ones = (xs @ self._indicator).T.astype(np.int64, order="C")
+        return self._combine(np.zeros(len(xs), np.int64), zip(ones, self._scores))
+
+    def _tabulate(self, a):
+        return self._combine(np.zeros((2,) * (self.size - len(a)), self._dtype),
+                             self._block_ones(a))
+
+    def _combine(self, total, counts):
+        """Add the fitness of ``counts`` to the zeros ``total``, in place:
+        ``counts`` pairs each block's contiguous ones count with the scores
+        it reads that count in.  A plain sum adds each block's score."""
+        for ones, scores in counts:
+            total += _score_in_place(ones, scores)
+        return total
 
     def _block_ones(self, a):
         """Per block, its number of ones on the loci ``a`` leaves free, as a
@@ -176,18 +181,11 @@ class _BlockSum(FitnessProblem):
         The count is the popcount of the block's free bits, whatever their
         order (every ``_dtype`` holds 255, and a table has far fewer loci)."""
         free = [v for v in range(self.size) if v not in a]
-        scores = self._scores.astype(self._dtype)
-        for block, offset in zip(self.blocks, self._offsets):
+        for block, scores in zip(self.blocks, self._scores):
             assigned = [a[v] for v in block if v in a]
             shape = [2 if v in block else 1 for v in free]
             yield (popcounts(len(block) - len(assigned), self._dtype).reshape(shape),
-                   scores[offset + sum(assigned):offset + len(block) + 1])
-
-    def _tabulate(self, a):
-        table = np.zeros((2,) * (self.size - len(a)), dtype=self._dtype)
-        for ones, scores in self._block_ones(a):
-            table += _score_in_place(ones, scores)
-        return table
+                   scores[sum(assigned):])
 
 
 #: Entries scored per gather in ``_score_in_place``.
@@ -208,33 +206,17 @@ class _Leading(_BlockSum):
     """A block sum gated left to right: block i counts only while every
     earlier block is all ones.
 
-    Rows: a row's fitness is the top scores of the blocks before its first
-    block that is not all ones, plus that block's own score.  Completions:
-    by Horner's rule from the last block, ``T_i = s_i + [block i all ones] *
-    T_(i+1)``, in place on one accumulator (an assigned 0 shuts a gate).
+    Its ``_combine`` is Horner's rule from the last block, ``T_i = s_i +
+    [block i all ones] * T_(i+1)``, in place on the one accumulator, for
+    rows and completions alike (in completions an assigned 0 keeps a gate
+    shut, as the block's scores then end above its free loci's count).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._sizes = self._indicator.sum(axis=0)
-        tops = self._scores[self._offsets + [len(block) for block in self.blocks]]
-        self._before = np.cumsum(tops) - tops  # the top scores of the earlier blocks
-
-    def raw_evaluate_many(self, xs):
-        ones = xs @ self._indicator
-        full = ones == self._sizes
-        full[:, -1] = False  # the last block scores its own ones, whether all or not
-        first = full.argmin(axis=1)
-        index = ones[np.arange(len(xs)), first].astype(np.intp)
-        index += self._offsets[first]
-        return self._before[first] + self._scores[index]
-
-    def _tabulate(self, a):
-        table = np.zeros((2,) * (self.size - len(a)), dtype=self._dtype)
-        for ones, scores in reversed(list(self._block_ones(a))):
-            table *= ones == len(scores) - 1  # the block is all ones
-            table += _score_in_place(ones, scores)
-        return table
+    def _combine(self, total, counts):
+        for ones, scores in reversed(list(counts)):
+            total *= ones == len(scores) - 1  # the block is all ones
+            total += _score_in_place(ones, scores)
+        return total
 
 
 class OneMax(_BlockSum):

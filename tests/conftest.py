@@ -1,4 +1,5 @@
-"""Shared fixtures: small benchmark instances reused across the suite.
+"""Shared fixtures: small benchmark instances reused across the suite, and
+the scalar block formulas the tests import.
 
 Problems cache their fitness table and global optimum, so session scope
 builds each once.
@@ -15,6 +16,19 @@ from epilink.problems import (
     LookupTable,
     OneMax,
 )
+
+
+# trap4 and niah4 are the scalar reference formulas of the block kinds,
+# against which the tests check the batched fitness.
+def trap4(b0: int, b1: int, b2: int, b3: int) -> int:
+    """Deceptive 4-bit trap: 4 when all ones, else 3 minus the number of ones."""
+    u = b0 + b1 + b2 + b3
+    return 4 if u == 4 else 3 - u
+
+
+def niah4(b0: int, b1: int, b2: int, b3: int) -> int:
+    """Needle in a haystack: 4 when all ones, 0 otherwise."""
+    return 4 if b0 + b1 + b2 + b3 == 4 else 0
 
 
 @pytest.fixture(scope="session")

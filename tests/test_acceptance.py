@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from conftest import niah4, trap4
 from epilink import epistasis as ep
 from epilink.decomposition import ipe, pac_sweep, partial_enumeration
 from epilink.gasim import (
@@ -33,8 +34,6 @@ from epilink.problems import (
     LeadingOnes,
     LeadingTraps,
     OneMax,
-    niah4,
-    trap4,
     weak_observability_problem,
 )
 

@@ -388,7 +388,7 @@ class TestTestSo:
         with pytest.raises(ValueError, match="2-D with 4 columns"):
             run_test_so(p, [1], np.zeros(4, np.uint8))
         for locus in (4, -1):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match=f"^locus {locus} out of range for problem size 4$"):
                 run_test_so(p, [locus], np.zeros((2, 4), np.uint8))
 
     @settings(max_examples=100, deadline=None)

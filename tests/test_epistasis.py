@@ -3,8 +3,10 @@
 import itertools
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
+from epilink.decomposition import test_so as run_test_so
 from epilink.model import Assignment, global_optimum, psi_at
 from epilink import epistasis as ep
 from epilink.epistasis import EpistasisKind
@@ -142,6 +144,7 @@ class TestLociOutOfRange:
         (lambda p: ep.epistatic(p, {1}, -8), -8),
         (lambda p: ep.epistatic(p, {1}, 8), 8),
         (lambda p: ep.epistatic(p, set(), 99), 99),
+        (lambda p: run_test_so(p, {-1, 2}, np.zeros((1, 8), np.uint8)), -1),
     ])
     def test_refused_before_any_scan(self, call, bad):
         p = CTrap(2)

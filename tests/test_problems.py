@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import niah4, trap4
 from epilink import problems
 from epilink.model import (
     EMPTY,
@@ -33,8 +34,6 @@ from epilink.problems import (
     OneMaxPrimeConcat,
     ProblemSpecError,
     make_problem,
-    niah4,
-    trap4,
     unscale,
     weak_observability_problem,
 )
@@ -219,9 +218,11 @@ class TestBenchmarks:
         build, formula = FORMULAS[kind]
         problem = build(None)
         rows = every_row(problem.size)
-        batch = problem.evaluate_many(rows)
-        assert batch.dtype == np.int64
-        assert [unscale(f) for f in batch] == [formula(tuple(row)) for row in rows.tolist()]
+        expected = [formula(tuple(row)) for row in rows.tolist()]
+        for dtype in (np.uint8, bool, np.int64, np.float64):  # any dtype of 0s and 1s
+            batch = problem.evaluate_many(rows.astype(dtype))
+            assert batch.dtype == np.int64
+            assert [unscale(f) for f in batch] == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(2, 40), min_size=1, max_size=8), st.booleans(),
@@ -255,6 +256,21 @@ class TestBenchmarks:
     def test_rows_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=r"!= \(rows, 2\)"):
             OneMax(2).evaluate_many(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("build, row", [
+        (lambda: LookupTable(list(range(16))), [0, 0, 0, 2]),  # would read as 0010
+        (lambda: CTrap(2), [2, 0, 0, 0, 0, 0, 0, 0]),  # would read as 11000000
+        (lambda: OneMax(2), [0.5, 1]),
+    ], ids=["lookup-4", "ctrap-2", "onemax-half"])
+    def test_entries_other_than_0_and_1_refused(self, build, row):
+        problem = build()
+        dtypes = [None, np.uint8] if all(float(v).is_integer() for v in row) else [None]
+        for dtype in dtypes:
+            rows = np.array([[0] * problem.size, row], dtype=dtype)
+            with pytest.raises(ValueError, match="^chromosome entries must be 0 or 1$"):
+                problem.evaluate_many(rows)
+        with pytest.raises(ValueError, match="^chromosome entries must be 0 or 1$"):
+            problem.evaluate(row)
 
 
 class TestGlobalOptima:
