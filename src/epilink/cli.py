@@ -13,9 +13,9 @@ from typing import Sequence
 
 # numpy's OpenBLAS starts a thread per CPU when it is imported, and no
 # command makes a BLAS call that gains from them (the only one, the block
-# sums of the block-sum kinds, is as fast on one thread).  This must run
-# before the package imports below load numpy; a value the user has set
-# wins, and forked GA workers inherit it.
+# sums of the block-sum kinds, is as fast on one thread).  This runs before
+# any command loads numpy; a value the user has set wins, and forked GA
+# workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -37,26 +37,27 @@ def _register_lazily(*names: str) -> None:
         setattr(package, name, module)
 
 
-# Registered before ``model`` is imported, so they precede it in
-# ``sys.modules``.  bench/tracing.py rebinds each traced function in every
-# module in that order, loading a lazy one as it reaches it; one loaded
-# after ``model``'s functions are wrapped would bind a wrapper that the
-# round never undoes.
-_register_lazily("decomposition", "epistasis", "gasim", "graph", "oracles")
-from . import decomposition, gasim, graph, oracles
-from .model import (
+# A command loads only the modules it uses, and numpy with the first of
+# them: ``list-problems``, ``--help`` and the usage errors found before a
+# problem is built need only the names the package itself defines.
+# ``model`` and ``problems`` are registered last, so they follow the others
+# in ``sys.modules``.  bench/tracing.py rebinds each traced function in
+# every module in that order, loading a lazy one as it reaches it; one
+# loaded after ``model``'s functions are wrapped would bind a wrapper that
+# the round never undoes.
+_register_lazily("decomposition", "epistasis", "gasim", "graph", "oracles", "model", "problems")
+from . import (
     DEFAULT_CAP,
+    KIND_NAMES,
     AssumptionViolationError,
     EnumerationCapError,
-    bits_to_str,
-    global_optimum,
-)
-from .problems import (
-    KINDS,
     ProblemSpecError,
-    make_problem,
-    unscale,
-    weak_observability_problem,
+    decomposition,
+    gasim,
+    graph,
+    model,
+    oracles,
+    problems,
 )
 
 EXIT_OK = 0
@@ -110,7 +111,7 @@ def _load_problem(args):
             spec["m"] = args.m
         if args.block_sizes:
             spec["block_sizes"] = _int_list(args.block_sizes)
-    return make_problem(spec)
+    return problems.make_problem(spec)
 
 
 def _emit(text: str, output: str | None, mode: str = "w"):
@@ -171,14 +172,14 @@ def cmd_decompose(args) -> int:
     result = decomposition.partial_enumeration(problem, partition, args.seed, args.cap)
     optimal = None
     if 2 ** problem.size <= args.cap:
-        optimal = bool(result.chromosome == global_optimum(problem, args.cap))
+        optimal = bool(result.chromosome == model.global_optimum(problem, args.cap))
     payload = {
         "problem": problem.name,
         "seed": args.seed,
         "partition_source": partition_source,
         "partition": [sorted(b) for b in partition],
-        "chromosome": bits_to_str(result.chromosome),
-        "fitness": unscale(result.fitness),
+        "chromosome": model.bits_to_str(result.chromosome),
+        "fitness": problems.unscale(result.fitness),
         "evaluations": result.evaluations,
         "optimal": optimal,
     }
@@ -194,7 +195,7 @@ def cmd_ipe(args) -> int:
         "problem": problem.name,
         "n": args.n,
         "seed": args.seed,
-        "outcome": bits_to_str(result.chromosome) if result.succeeded else "failure",
+        "outcome": model.bits_to_str(result.chromosome) if result.succeeded else "failure",
         "evaluations": result.trace.evaluations,
     }
     if args.trace:
@@ -261,10 +262,10 @@ def cmd_pac_sweep(args) -> int:
 
 
 def cmd_weak_observability(args) -> int:
-    problem = weak_observability_problem()
     _at_least(args.runs, 1, "runs")
     _at_least(args.population, 1, "population")
     _at_least(args.generations, 0, "generations")
+    problem = problems.weak_observability_problem()
     all_targets = gasim.block_targets(problem)
     if args.blocks is not None:
         wanted = _int_list(args.blocks)
@@ -301,7 +302,7 @@ def cmd_weak_observability(args) -> int:
 
 
 def cmd_list_problems(args) -> int:
-    _emit("\n".join(KINDS) + "\n", args.output)
+    _emit("\n".join(KIND_NAMES) + "\n", args.output)
     return EXIT_OK
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from . import ProblemSpecError
 from .model import DEFAULT_CAP, Assignment, constrained_optima, global_optimum
-from .problems import ProblemSpecError
 from . import epistasis
 from .epistasis import EpistasisKind
 

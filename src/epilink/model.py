@@ -16,31 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import DEFAULT_CAP, AssumptionViolationError, EnumerationCapError
+
 WILDCARD = "*"
-
-#: Maximum number of completions an exhaustive scan may enumerate before
-#: refusing.  Overridable per call.
-DEFAULT_CAP = 2 ** 24
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised instead of silently running an exponential enumeration."""
-
-    def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"exhaustive enumeration needs {required} completions, "
-            f"which exceeds the cap of {cap}"
-        )
-        self.required = required
-        self.cap = cap
-
-
-class AssumptionViolationError(RuntimeError):
-    """The problem breaks the unique-global-optimum assumption."""
-
-    def __init__(self, message: str, tied: Sequence[tuple[int, ...]] = ()):
-        super().__init__(message)
-        self.tied = tuple(tied)
 
 
 def bits_from_str(s: str) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import KIND_NAMES, ProblemSpecError
 from .model import EMPTY, bits_from_str, check_loci, pack_bits, popcounts
 
 FITNESS_SCALE = 2
@@ -356,10 +357,6 @@ class LookupTable(FitnessProblem):
         return _fixed(self.values, self.size, a)
 
 
-class ProblemSpecError(ValueError):
-    """Malformed problem specification."""
-
-
 def _integral(value) -> bool:
     """An int or numpy integer; a bool, a float or a string is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -444,18 +441,18 @@ def _lookup_table(kind: str, spec: dict, perm, name) -> LookupTable:
     raise ProblemSpecError("lookup-table spec needs 'table' or 'pairs'")
 
 
-#: Problem kind -> builder from (kind, spec, permutation, name), in ``list-problems``
-#: order; a builder pops the spec fields it reads.
-KINDS = {
-    "onemax": _sized(OneMax),
-    "leadingones": _sized(LeadingOnes),
-    "ctrap": _blocks_of(CTrap, 4),
-    "cyctrap": _blocks_of(CycTrap, 3),
-    "cniah": _blocks_of(CNiah, 4),
-    "leadingtraps": _blocks_of(LeadingTraps, 4),
-    "onemax-prime-blocks": _onemax_prime_blocks,
-    "lookup-table": _lookup_table,
-}
+#: Problem kind -> builder from (kind, spec, permutation, name); the builders
+#: follow ``KIND_NAMES`` one for one, and each pops the spec fields it reads.
+KINDS = dict(zip(KIND_NAMES, (
+    _sized(OneMax),
+    _sized(LeadingOnes),
+    _blocks_of(CTrap, 4),
+    _blocks_of(CycTrap, 3),
+    _blocks_of(CNiah, 4),
+    _blocks_of(LeadingTraps, 4),
+    _onemax_prime_blocks,
+    _lookup_table,
+), strict=True))
 
 
 def make_problem(spec: Mapping) -> FitnessProblem:

@@ -38,6 +38,11 @@ class TestListProblems:
             "leadingtraps", "onemax-prime-blocks", "lookup-table",
         ]
 
+    def test_lists_the_kinds_make_problem_builds(self, capsys):
+        from epilink import problems
+
+        assert run(capsys, "list-problems")[1].splitlines() == list(problems.KINDS)
+
 
 class TestEg:
     def test_ctrap_dot(self, capsys):
@@ -323,16 +328,21 @@ class TestWeakObservability:
         )
 
 
-def fresh_python(code, **env_vars):
-    """Exit code of ``code`` in a new interpreter that imports this checkout.
+def fresh_env(**env_vars):
+    """The environment of a new interpreter that imports this checkout.
 
-    ``OPENBLAS_NUM_THREADS`` is dropped from the child's environment (an
-    in-process ``epilink.cli`` import has set it here) unless given."""
+    ``OPENBLAS_NUM_THREADS`` is dropped from it (an in-process
+    ``epilink.cli`` import has set it here) unless given."""
     src = os.path.dirname(os.path.dirname(epilink.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_vars)
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+    return env
+
+
+def fresh_python(code, **env_vars):
+    """Exit code of ``code`` in a new interpreter that imports this checkout."""
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(**env_vars), timeout=60).returncode
 
 
 def test_cli_import_does_not_load_multiprocessing():
@@ -379,8 +389,9 @@ class TestStartup:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
     def test_cli_import_starts_no_blas_threads(self):
-        # the default is set before numpy loads, so OpenBLAS honours it
-        code = "import os, sys, epilink.cli; sys.exit(len(os.listdir('/proc/self/task')) != 1)"
+        # the default is set before numpy loads, so OpenBLAS honours it in
+        # a numpy that a command loads later
+        code = "import os, sys, epilink.cli, numpy; sys.exit(len(os.listdir('/proc/self/task')) != 1)"
         assert fresh_python(code) == 0
 
     def test_cli_import_loads_every_traced_module(self):
@@ -415,26 +426,54 @@ class TestStartup:
         )
         assert fresh_python(code) == 0
 
-    @pytest.mark.parametrize("argv, executed", [
-        (["list-problems"], []),
-        (["eg", "--kind", "ctrap", "--m", "1"], ["epistasis", "graph"]),
-        (["verify", "--kind", "ctrap", "--m", "1", "--weak-order", "1"],
-         ["epistasis", "graph", "oracles"]),
+    @pytest.mark.parametrize("argv, executed, code, err", [
+        (["list-problems", "--output", os.devnull], [], EXIT_OK, ""),
+        (["eg", "--kind", "ctrap", "--m", "1", "--output", os.devnull],
+         ["epistasis", "graph", "model", "problems"], EXIT_OK, None),
+        (["verify", "--kind", "ctrap", "--m", "1", "--weak-order", "1", "--output", os.devnull],
+         ["epistasis", "graph", "model", "oracles", "problems"], EXIT_OK, ""),
         (["weak-observability", "--runs", "2", "--population", "10", "--generations", "1",
-          "--population-sizes", "10"], ["gasim"]),
-    ], ids=["list-problems", "eg", "verify", "weak-observability"])
-    def test_command_executes_only_its_modules(self, argv, executed):
+          "--population-sizes", "10", "--output", os.devnull], ["gasim", "model", "problems"],
+         EXIT_OK, ""),
+        (["--help"], [], EXIT_OK, ""),
+        (["eg", "--help"], [], EXIT_OK, ""),
+        (["decompose", "--kind", "onemax", "--l", "4", "--seed", "-1"], [], EXIT_PARSE,
+         "error: seed must be >= 0\n"),
+        (["eg", "--spec", "ctrap-m1.json", "--kind", "onemax", "--l", "8"], [], EXIT_PARSE,
+         "error: pass --spec or --kind/--l/--m/--block-sizes, not both\n"),
+        (["eg", "--spec", "missing.json"], [], EXIT_PARSE,
+         "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["eg", "--kind", "onemax", "--l", "4", "--output", "."], [], EXIT_PARSE,
+         "error: [Errno 21] Is a directory: '.'\n"),
+        (["weak-observability", "--runs", "0"], [], EXIT_PARSE, "error: runs must be >= 1\n"),
+    ], ids=["list-problems", "eg", "verify", "weak-observability", "help", "eg-help",
+            "negative-seed", "spec-and-kind", "missing-spec", "unwritable-output", "no-runs"])
+    def test_command_executes_only_its_modules(self, tmp_path, argv, executed, code, err):
         # a lazy module's namespace gains __builtins__ when its code runs;
-        # object.__getattribute__ reads the namespace without loading it
-        code = (
-            "import os, sys\n"
+        # object.__getattribute__ reads the namespace without loading it.
+        # numpy loads with model, so a command that builds no problem
+        # loads none.
+        (tmp_path / "ctrap-m1.json").write_text(json.dumps({"kind": "ctrap", "m": 1}))
+        child = (
+            "import sys\n"
             "from epilink.cli import main\n"
-            f"rc = main({argv!r} + ['--output', os.devnull])\n"
-            "ran = [n for n in ('decomposition', 'epistasis', 'gasim', 'graph', 'oracles')\n"
+            "try:\n"
+            f"    rc = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "ran = [n for n in ('decomposition', 'epistasis', 'gasim', 'graph', 'model', 'oracles',\n"
+            "                   'problems')\n"
             "       if '__builtins__' in object.__getattribute__(sys.modules['epilink.' + n], '__dict__')]\n"
-            f"sys.exit(rc != 0 or ran != {executed!r} or 'fractions' in sys.modules)"
+            "loaded = sorted({'fractions', 'numpy'} & set(sys.modules))\n"
+            f"if ran != {executed!r} or loaded != {['numpy'] if executed else []!r}:\n"
+            "    sys.exit(f'ran {ran}, loaded {loaded}')\n"
+            "sys.exit(rc)"
         )
-        assert fresh_python(code) == 0
+        proc = subprocess.run([sys.executable, "-c", child], env=fresh_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if err is not None:
+            assert proc.stderr == err
 
     def test_lazy_modules_are_bound_on_the_package(self):
         code = (
@@ -481,11 +520,10 @@ class TestSpecFilesAndExitCodes:
     def test_cap_exceeded_after_warm_run(self, capsys, monkeypatch):
         # the same problem object serves both commands: its caches are warm
         # for the second, which must still refuse the capped enumeration
-        from epilink import cli
-        from epilink.problems import CTrap
+        from epilink import problems
 
-        shared = CTrap(2)
-        monkeypatch.setattr(cli, "make_problem", lambda spec: shared)
+        shared = problems.CTrap(2)
+        monkeypatch.setattr(problems, "make_problem", lambda spec: shared)
         for argv, expected in ((["--cap", "16"], EXIT_CAP), ([], EXIT_OK), (["--cap", "16"], EXIT_CAP)):
             code, _, _ = run(capsys, "eg", "--kind", "ctrap", "--m", "2", *argv)
             assert code == expected
