@@ -3,10 +3,11 @@ enumeration for small pseudo-Boolean maximization problems.
 
 This module loads no numpy.  It holds what the command line needs before
 it builds a problem: the enumeration cap, the three error classes whose
-exit codes the CLI reports and the problem kind names.  ``model`` and
-``problems`` import them from here.  The other names below are loaded on
-first use (PEP 562), so ``import epilink`` and ``import epilink.cli``
-import no numpy; a command loads it with the first module it needs."""
+exit codes the CLI reports, the problem kind names and the theorem names.
+``model``, ``problems`` and ``oracles`` import them from here.  The other
+names below are loaded on first use (PEP 562), so ``import epilink`` and
+``import epilink.cli`` import no numpy; a command loads it with the first
+module it needs."""
 
 from __future__ import annotations
 
@@ -29,6 +30,9 @@ KIND_NAMES = (
     "onemax-prime-blocks",
     "lookup-table",
 )
+
+#: The theorems ``oracles.verify`` checks, in report order.
+THEOREMS = ("decomposition", "blanket", "clique")
 
 
 class ProblemSpecError(ValueError):

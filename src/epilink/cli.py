@@ -38,8 +38,9 @@ def _register_lazily(*names: str) -> None:
 
 
 # A command loads only the modules it uses, and numpy with the first of
-# them: ``list-problems``, ``--help`` and the usage errors found before a
-# problem is built need only the names the package itself defines.
+# them: ``list-problems``, ``--help`` and the usage errors need only the
+# names the package itself defines, since each command checks its options
+# before it builds a problem.
 # ``model`` and ``problems`` are registered last, so they follow the others
 # in ``sys.modules``.  bench/tracing.py rebinds each traced function in
 # every module in that order, loading a lazy one as it reaches it; one
@@ -49,6 +50,7 @@ _register_lazily("decomposition", "epistasis", "gasim", "graph", "oracles", "mod
 from . import (
     DEFAULT_CAP,
     KIND_NAMES,
+    THEOREMS,
     AssumptionViolationError,
     EnumerationCapError,
     ProblemSpecError,
@@ -134,8 +136,8 @@ def _csv(header_lines: Sequence[str], columns: Sequence[str], rows) -> str:
 
 
 def cmd_eg(args) -> int:
-    problem = _load_problem(args)
     _at_least(args.epistasis_order_bound, 0, "epistasis order bound")
+    problem = _load_problem(args)
     G = graph.build_eg(problem, args.cap)
     k_scc = max(map(len, graph.components(G)), default=0)
     summary = {
@@ -188,8 +190,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ipe(args) -> int:
-    problem = _load_problem(args)
     _at_least(args.n, 1, "population size")
+    problem = _load_problem(args)
     result = decomposition.ipe(problem, args.n, args.seed, args.subset_order)
     payload = {
         "problem": problem.name,
@@ -212,38 +214,38 @@ def cmd_ipe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args)
     _at_least(args.weak_order, 0, "weak-epistasis audit order")
     if args.theorems is None:
-        wanted = list(oracles.THEOREMS)
+        wanted = list(THEOREMS)
     else:
         wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
-    unknown = set(wanted) - set(oracles.THEOREMS)
+    unknown = set(wanted) - set(THEOREMS)
     if unknown:
         raise ProblemSpecError(f"unknown theorems: {sorted(unknown)}")
     if not wanted:
         raise ProblemSpecError("--theorems names no theorem")
+    problem = _load_problem(args)
     reports = oracles.verify(problem, wanted, args.weak_order, args.cap)
     _emit("\n\n".join(r.summary() for r in reports) + "\n", args.output)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_THEOREM
 
 
 def cmd_pac_sweep(args) -> int:
-    problem = _load_problem(args)
     if not 0 < args.delta < 1:  # also rejects NaN
         raise ProblemSpecError("delta must lie in (0, 1)")
     _at_least(args.runs, 1, "runs")
+    if args.n_values is not None:
+        n_values = [_at_least(n, 1, "population size") for n in _int_list(args.n_values)]
+    problem = _load_problem(args)
     G = graph.build_eg(problem, args.cap)
     k = graph.decomposition_difficulty(G)
     threshold, threshold_text = decomposition.pac_threshold(k, problem.size, args.delta)
-    if args.n_values is not None:
-        n_values = [_at_least(n, 1, "population size") for n in _int_list(args.n_values)]
-    elif threshold is not None:
+    if args.n_values is None:
+        if threshold is None:
+            raise ProblemSpecError(
+                f"sufficient-n threshold is infeasible ({threshold_text}); pass --n-values"
+            )
         n_values = [threshold]
-    else:
-        raise ProblemSpecError(
-            f"sufficient-n threshold is infeasible ({threshold_text}); pass --n-values"
-        )
     rows = decomposition.pac_sweep(problem, n_values, args.runs, args.seed, args.cap)
     text = _csv(
         [
@@ -265,10 +267,11 @@ def cmd_weak_observability(args) -> int:
     _at_least(args.runs, 1, "runs")
     _at_least(args.population, 1, "population")
     _at_least(args.generations, 0, "generations")
+    wanted = None if args.blocks is None else _int_list(args.blocks)
+    sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]
     problem = problems.weak_observability_problem()
     all_targets = gasim.block_targets(problem)
-    if args.blocks is not None:
-        wanted = _int_list(args.blocks)
+    if wanted is not None:
         orders = [t.order for t in all_targets]
         unknown = [w for w in wanted if w not in orders]
         if unknown:
@@ -279,7 +282,6 @@ def cmd_weak_observability(args) -> int:
         targets = [t for t in all_targets if t.order in wanted]
     else:
         targets = all_targets
-    sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]
     points = gasim.initial_observability(problem, targets, sizes, args.runs, args.seed)
     config = gasim.GaConfig(
         population_size=args.population,

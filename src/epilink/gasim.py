@@ -5,16 +5,11 @@ Both sweeps run through one block loop, ``_run_hits``: the
 fresh-population sweep is its generation 0.  Runs evolve in blocks: a
 (runs, population, loci) uint8 stack of at most ``_BLOCK_ALLELES``
 alleles, and at least one run, takes one vectorised generation step with
-one fitness call for the whole stack, and applies uniform crossover
-with XOR.  Each run draws in the order a lone run would, so every
-result depends only on the seed, never on the block size.
-
-A run's draws for one generation come from one ``random_raw`` read of
-its ``default_rng`` (PCG64) generator, decoded into exactly the numbers
-numpy's ``integers`` and ``random`` calls would give (``_draws``); a
-generator of another bit generator is refused.  Where numpy's bounded
-draw would reject a value and draw the next one, the decoder skips that
-value, as numpy does, so every draw comes from the one decoder.
+one fitness call for the whole stack.  Each run, seeded by an integer,
+draws a generation with one ``random_raw`` read of its
+``default_rng(seed)`` (PCG64) words, decoded straight into the block's
+arrays as exactly the numbers numpy's calls would give (``_draws``), so
+every result depends only on the seed, never on the block size.
 
 ``generational_observability`` spreads its blocks over forked worker
 processes, one per CPU this process may run on: each worker evolves a
@@ -26,6 +21,7 @@ block or no ``fork`` there is one share, evolved without forking.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import groupby, islice, repeat
@@ -38,14 +34,10 @@ import numpy as np
 class GaConfig:
     population_size: int
     generations: int
-    crossover_prob: float = 0.9
-    mutation_prob: float = 0.01
     runs: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.crossover_prob <= 1 and 0 <= self.mutation_prob <= 1):
-            raise ValueError("probabilities must lie in [0, 1]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.population_size < 1:
@@ -81,26 +73,16 @@ def _block_runs(population_size: int, width: int) -> int:
 
 
 class _Stream:
-    """One run's ``default_rng`` (PCG64) generator, read as raw 64-bit words.
+    """The PCG64 words of one run's ``default_rng(seed)``, for an integer
+    seed.  numpy makes a 32-bit value from the low half of a fresh word
+    and buffers the high half for the next one, which whole-word reads
+    leave alone: the stream's ``spare``, ``None`` while there is none."""
 
-    numpy makes a 32-bit value from the low half of a fresh word and
-    buffers the high half for the next one (``has_uint32`` and
-    ``uinteger`` in the state).  ``random()`` and ``random_raw`` read whole
-    words and leave that half alone.  The stream carries it in ``spare``
-    (``None`` when there is none), read once from the generator's state;
-    the generator's own copy is stale from then on, and the stream's
-    draws never read it.
-    """
+    __slots__ = ("bits", "spare")
 
-    __slots__ = ("rng", "spare")
-
-    def __init__(self, seed):
-        # default_rng returns a Generator it is given unaltered
-        self.rng = np.random.default_rng(seed)
-        state = self.rng.bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise TypeError("the GA decodes PCG64 words, as default_rng makes")
-        self.spare = np.uint32(state["uinteger"]) if state["has_uint32"] else None
+    def __init__(self, seed: int):
+        self.bits = np.random.PCG64(operator.index(seed))
+        self.spare = None
 
     def take(self, words: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` 32-bit values: ``spare``, then each of
@@ -119,14 +101,14 @@ def _words(count: int, buffered: bool) -> int:
     return (count - buffered + 1) // 2
 
 
-def _below(words: np.ndarray, p: float) -> np.ndarray:
-    """``random() < p`` of the doubles numpy makes from ``words``:
-    ``random()`` is ``(word >> 11) * 2**-53``, so it is below ``p`` iff the
-    word is below ``ceil(p * 2**53) << 11``, and always when ``p`` is 1."""
-    bound = math.ceil(p * 2 ** 53)
-    if bound == 2 ** 53:
-        return np.ones(len(words), dtype=bool)
-    return words < np.uint64(bound << 11)
+def _bound(p: float) -> np.uint64:
+    """The word bound of ``random() < p``, 0 <= p < 1: ``random()`` is
+    ``(word >> 11) * 2**-53``, below ``p`` iff the word is below this."""
+    return np.uint64(math.ceil(p * 2 ** 53) << 11)
+
+
+# The paper's rates: uniform crossover per pair, bit-flip mutation per allele
+_CROSSOVER, _MUTATION = _bound(0.9), _bound(0.01)
 
 
 def _populations(stream: _Stream, runs: int, n: int, width: int) -> np.ndarray:
@@ -137,32 +119,33 @@ def _populations(stream: _Stream, runs: int, n: int, width: int) -> np.ndarray:
     population's last value are dropped."""
     size = n * width
     count = -(-size // 4)
-    words = stream.rng.bit_generator.random_raw(_words(runs * count, stream.spare is not None))
+    words = stream.bits.random_raw(_words(runs * count, stream.spare is not None))
     halves = stream.take(words, runs * count).astype("<u4", copy=False)
     alleles = halves.view(np.uint8).reshape(runs, 4 * count)[:, :size] >> 7
     return alleles.reshape(runs, n, width)
 
 
-def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
-    """One run's random draws for one generation, decoded from one
-    ``random_raw`` read of exactly the words numpy's calls would read.
+def _draws(stream: _Stream, ab: np.ndarray, coin: np.ndarray, swap: np.ndarray,
+           flips: np.ndarray) -> None:
+    """Decodes one run's draws for one generation into its rows of the
+    block's arrays, from one ``random_raw`` read of exactly the words
+    numpy's calls would read.
 
     In order, as the plain per-run loop draws them: tournament entrants
     ``ab`` (``a`` then ``b``, ``integers(0, n)``) and tie coins
     (``integers(0, 2)``), one 32-bit value each; per-pair crossover flags
-    (``random() < p``, one word each) folded into the uniform-crossover
-    mask ``swap`` (``integers(0, 2)``, one 32-bit value per bit); mutation
-    ``flips`` (``random() < p``).  None of them depends on the population.
-    numpy's bounded draw is Lemire's: an entrant is ``(u * n) >> 32`` of a
-    32-bit value ``u``, and a coin or mask bit is the top bit of ``u``.  A
-    range of one (n = 1) reads no value.  Lemire rejects ``u`` when the low
-    32 bits of ``u * n`` fall below ``2**32 % n`` (about once per 200-run
-    GA command at n = 500) and draws the next value instead, so the
-    entrants are the first ``2n`` accepted values and every later value
-    moves along by one per rejection.  A read that finds more rejections
-    among its entrants than it allowed for is given back and read again
-    with that many more values.
+    (one word each) folded into the uniform-crossover mask ``swap``
+    (``integers(0, 2)``, one 32-bit value per bit); mutation ``flips``
+    (one word each).  ``coin``, ``swap`` and ``flips`` are bool.  numpy's
+    bounded draw is Lemire's: an entrant is ``(u * n) >> 32`` of a 32-bit
+    value ``u``, and a coin or mask bit is the top bit of ``u``.  A range
+    of one (n = 1) reads no value.  Lemire rejects ``u`` when the low 32
+    bits of ``u * n`` fall below ``2**32 % n`` (about once in 200 runs of
+    20 generations at n = 500) and draws the next value, moving every
+    later one along.  A read that finds more rejections among its
+    entrants than it allowed for is read again with that many more values.
     """
+    n, width = flips.shape
     half = n // 2
     entrants = 2 * n if n > 1 else 0
     threshold = 2 ** 32 % n
@@ -173,7 +156,7 @@ def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
         drawn = entrants + redrawn
         head = _words(drawn + n, buffered)
         body = head + half + _words(half * width, (drawn + n + buffered) % 2)
-        words = stream.rng.bit_generator.random_raw(body + n * width)
+        words = stream.bits.random_raw(body + n * width)
         values = stream.take(words[:head], drawn + n)
         scaled = values[:drawn].astype(np.uint64) * n
         if not entrants or scaled.astype(np.uint32).min() >= threshold:
@@ -183,19 +166,21 @@ def _draws(stream: _Stream, n: int, width: int, config: GaConfig):
         if rejected == redrawn:
             scaled = scaled[kept]
             break
-        stream.rng.bit_generator.advance(-len(words))
+        stream.bits.advance(-len(words))
         stream.spare = carried
         redrawn = rejected
-    ab = scaled >> 32 if entrants else np.zeros(2, dtype=np.uint64)
-    coin = values[drawn:] >= 2 ** 31
-    cross = _below(words[head:head + half], config.crossover_prob)
-    swap = (stream.take(words[head + half:body], half * width) >= 2 ** 31).reshape(half, width)
-    swap[~cross] = False
-    flips = _below(words[body:], config.mutation_prob).reshape(n, width)
-    return ab, coin, swap, flips
+    if entrants:
+        np.right_shift(scaled, 32, out=ab.view(np.uint64))
+    else:
+        ab[:] = 0
+    np.greater_equal(values[drawn:], 2 ** 31, out=coin)
+    mask = stream.take(words[head + half:body], half * width).reshape(half, width)
+    np.greater_equal(mask, 2 ** 31, out=swap)
+    swap &= (words[head:head + half] < _CROSSOVER)[:, None]
+    np.less(words[body:].reshape(n, width), _MUTATION, out=flips)
 
 
-def _next_generation(problem, pops: np.ndarray, streams, config: GaConfig) -> np.ndarray:
+def _next_generation(problem, pops: np.ndarray, streams) -> np.ndarray:
     """One generation for a (runs, n, loci) stack; run ``r`` draws from ``streams[r]``.
 
     Binary tournament (strict winner kept, ties by coin), uniform
@@ -206,10 +191,11 @@ def _next_generation(problem, pops: np.ndarray, streams, config: GaConfig) -> np
     half = n // 2
     ab = np.empty((runs, 2 * n), dtype=np.int64)
     coin = np.empty((runs, n), dtype=bool)
-    swap = np.empty((runs, half, width), dtype=bool)
-    flips = np.empty((runs, n, width), dtype=bool)
+    # uint8, so that the XORs below cast nothing; ``_draws`` writes bool views
+    swap = np.empty((runs, half, width), dtype=np.uint8)
+    flips = np.empty((runs, n, width), dtype=np.uint8)
     for r, stream in enumerate(streams):
-        ab[r], coin[r], swap[r], flips[r] = _draws(stream, n, width, config)
+        _draws(stream, ab[r], coin[r], swap[r].view(bool), flips[r].view(bool))
     rows = pops.reshape(runs * n, width)
     fits = problem.evaluate_many(rows)
     ab += n * np.arange(runs)[:, None]
@@ -271,13 +257,11 @@ def _points(targets, n: int, hits: np.ndarray, runs: int) -> list[ObservabilityP
     return out
 
 
-def _run_hits(problem, targets, config: GaConfig | None, n: int, generations: int,
-              streams: Iterable[_Stream]) -> np.ndarray:
+def _run_hits(problem, targets, n: int, generations: int, streams: Iterable[_Stream]) -> np.ndarray:
     """(targets, generations + 1) witness counts of one run per stream in
     ``streams``, evolved block by block; a stream listed more than once
     serves those runs one after another.  ``streams`` is read a block at a
     time, so a lazy one makes each stream only when its block starts.
-    ``config`` only feeds ``_next_generation``, unused at 0 generations.
     """
     hits = np.zeros((len(targets), generations + 1), dtype=np.int64)
     width = problem.size
@@ -290,7 +274,7 @@ def _run_hits(problem, targets, config: GaConfig | None, n: int, generations: in
         for gen in range(generations + 1):
             hits[:, gen] += _witness_counts(pops, targets)
             if gen < generations:
-                pops = _next_generation(problem, pops, block, config)
+                pops = _next_generation(problem, pops, block)
     return hits
 
 
@@ -314,7 +298,7 @@ def initial_observability(
     stream = _Stream(seed)
     out = []
     for n in population_sizes:
-        out += _points(targets, n, _run_hits(problem, targets, None, n, 0, repeat(stream, runs)), runs)
+        out += _points(targets, n, _run_hits(problem, targets, n, 0, repeat(stream, runs)), runs)
     return out
 
 
@@ -346,8 +330,8 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
             os.close(write)
             pids.append(pid)
             pipes.append(os.fdopen(read, "rb"))
-        hits = _run_hits(problem, targets, config, config.population_size,
-                         config.generations, map(_Stream, shares[0]))
+        hits = _run_hits(problem, targets, config.population_size, config.generations,
+                         map(_Stream, shares[0]))
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -367,8 +351,8 @@ def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray
     code = 1
     try:
         with os.fdopen(write, "wb") as pipe:
-            hits = _run_hits(problem, targets, config, config.population_size,
-                             config.generations, map(_Stream, seeds))
+            hits = _run_hits(problem, targets, config.population_size, config.generations,
+                             map(_Stream, seeds))
             pipe.write(hits.tobytes())
         code = 0
     except BaseException:
@@ -394,8 +378,7 @@ def generational_observability(
     draws only from its own generator and the counts are summed, so the
     points do not depend on the number of workers.
     """
-    root = np.random.default_rng(config.seed)
-    run_seeds = root.integers(0, 2 ** 63, size=config.runs)
+    run_seeds = np.random.default_rng(config.seed).integers(0, 2 ** 63, size=config.runs)
     step = _block_runs(config.population_size, problem.size)
     blocks = -(-config.runs // step)
     workers = min(_cpus(), blocks)

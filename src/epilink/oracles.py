@@ -22,6 +22,7 @@ from .model import (
     popcounts,
     unpack_bits,
 )
+from . import THEOREMS
 from . import epistasis as _ep
 from . import graph as _graph
 
@@ -262,10 +263,6 @@ def verify_clique_structure(problem, G: _graph.EpistaticGraph) -> TheoremReport:
     else:
         report.add("no cycles: clique structure holds vacuously", True)
     return report
-
-
-#: The theorems ``verify`` checks, in report order.
-THEOREMS = ("decomposition", "blanket", "clique")
 
 
 def verify(

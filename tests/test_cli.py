@@ -446,8 +446,30 @@ class TestStartup:
         (["eg", "--kind", "onemax", "--l", "4", "--output", "."], [], EXIT_PARSE,
          "error: [Errno 21] Is a directory: '.'\n"),
         (["weak-observability", "--runs", "0"], [], EXIT_PARSE, "error: runs must be >= 1\n"),
+        # each command checks its options before it builds the problem
+        (["ipe", "--kind", "onemax", "--l", "4", "--n", "0"], [], EXIT_PARSE,
+         "error: population size must be >= 1\n"),
+        (["eg", "--kind", "onemax", "--l", "4", "--epistasis-order-bound", "-2"], [], EXIT_PARSE,
+         "error: epistasis order bound must be >= 0\n"),
+        (["verify", "--kind", "onemax", "--l", "4", "--weak-order", "-1"], [], EXIT_PARSE,
+         "error: weak-epistasis audit order must be >= 0\n"),
+        (["verify", "--kind", "onemax", "--l", "4", "--theorems", "bogus"], [], EXIT_PARSE,
+         "error: unknown theorems: ['bogus']\n"),
+        (["pac-sweep", "--kind", "onemax", "--l", "4", "--delta", "nan", "--n-values", "4"], [],
+         EXIT_PARSE, "error: delta must lie in (0, 1)\n"),
+        (["pac-sweep", "--kind", "onemax", "--l", "4", "--runs", "0", "--n-values", "4"], [],
+         EXIT_PARSE, "error: runs must be >= 1\n"),
+        (["pac-sweep", "--kind", "onemax", "--l", "4", "--n-values", "0"], [], EXIT_PARSE,
+         "error: population size must be >= 1\n"),
+        (["weak-observability", "--population-sizes", "-1"], [], EXIT_PARSE,
+         "error: population size must be >= 0\n"),
+        # so a bad option's message wins over a bad spec's
+        (["ipe", "--kind", "bogus", "--n", "0"], [], EXIT_PARSE,
+         "error: population size must be >= 1\n"),
     ], ids=["list-problems", "eg", "verify", "weak-observability", "help", "eg-help",
-            "negative-seed", "spec-and-kind", "missing-spec", "unwritable-output", "no-runs"])
+            "negative-seed", "spec-and-kind", "missing-spec", "unwritable-output", "no-runs",
+            "ipe-n", "eg-order-bound", "verify-weak-order", "verify-theorems", "pac-delta",
+            "pac-runs", "pac-n-values", "weak-population-sizes", "option-before-spec"])
     def test_command_executes_only_its_modules(self, tmp_path, argv, executed, code, err):
         # a lazy module's namespace gains __builtins__ when its code runs;
         # object.__getattribute__ reads the namespace without loading it.

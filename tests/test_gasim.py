@@ -1,5 +1,7 @@
 """Generational GA and weak-epistasis observability measurements."""
 
+import copy
+import dataclasses
 import math
 import os
 from unittest.mock import patch
@@ -28,7 +30,7 @@ def run_ga(problem, config: GaConfig, seed: int | None = None) -> list[np.ndarra
     pops = gasim._populations(stream, 1, config.population_size, problem.size)
     snapshots = [pops[0]]
     for _ in range(config.generations):
-        pops = _next_generation(problem, pops, [stream], config)
+        pops = _next_generation(problem, pops, [stream])
         snapshots.append(pops[0])
     return snapshots
 
@@ -50,26 +52,21 @@ def targets25(problem25):
 
 
 class TestConfig:
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            GaConfig(10, 5, crossover_prob=1.5)
-        with pytest.raises(ValueError):
-            GaConfig(10, 5, mutation_prob=-0.1)
-        with pytest.raises(ValueError):
-            GaConfig(10, 5, runs=0)
-
     def test_size_bounds(self):
         with pytest.raises(ValueError, match="population size"):
             GaConfig(0, 5)
         with pytest.raises(ValueError, match="generations"):
             GaConfig(10, -1)
+        with pytest.raises(ValueError, match="runs"):
+            GaConfig(10, 5, runs=0)
         assert GaConfig(1, 0).generations == 0
 
     def test_defaults(self):
+        # the rates are the paper's, fixed in gasim, not configured
+        assert [f.name for f in dataclasses.fields(GaConfig)] == [
+            "population_size", "generations", "runs", "seed"]
         c = GaConfig(100, 10)
-        assert c.crossover_prob == 0.9
-        assert c.mutation_prob == 0.01
-        assert c.runs == 1000
+        assert (c.runs, c.seed) == (1000, 0)
 
 
 class TestRunGa:
@@ -90,10 +87,12 @@ class TestRunGa:
         assert (abs(freq - 0.5) < 3 * sigma + 1e-9).all()
 
     def test_identical_population_fixed_point(self):
+        # with no crossover and no mutation, selection alone keeps it
         p = OneMax(8)
-        cfg = GaConfig(16, 1, crossover_prob=0.0, mutation_prob=0.0, seed=0)
         pop = np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), (16, 1))
-        child = _next_generation(p, pop[None].copy(), [gasim._Stream(9)], cfg)
+        with patch.object(gasim, "_CROSSOVER", gasim._bound(0.0)), \
+                patch.object(gasim, "_MUTATION", gasim._bound(0.0)):
+            child = _next_generation(p, pop[None].copy(), [gasim._Stream(9)])
         assert (child == pop).all()
 
     def test_onemax_selection_pressure(self):
@@ -191,7 +190,11 @@ class TestObservability:
         assert ObservabilityTarget((0, 1, 2, 3)).order == 3
 
 
-# The per-run loop that the stacked GA replaced, kept as its reference.
+# The per-run loop that the stacked GA replaced, kept as its reference,
+# with the paper's rates.
+
+CROSSOVER_PROB, MUTATION_PROB = 0.9, 0.01
+
 
 def _sequential_tournament(fits, rng):
     n = len(fits)
@@ -203,12 +206,12 @@ def _sequential_tournament(fits, rng):
     return np.where(pick_a | (tie & coin), a, b)
 
 
-def _sequential_next_generation(problem, pop, config, rng):
+def _sequential_next_generation(problem, pop, rng):
     fits = problem.evaluate_many(pop)
     pool = pop[_sequential_tournament(fits, rng)]
     n, width = pool.shape
     half = n // 2
-    cross = rng.random(half) < config.crossover_prob
+    cross = rng.random(half) < CROSSOVER_PROB
     swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
     first = pool[0:2 * half:2].copy()
     second = pool[1:2 * half:2].copy()
@@ -220,7 +223,7 @@ def _sequential_next_generation(problem, pop, config, rng):
     children[1:2 * half:2] = second
     if n % 2:
         children[-1] = pool[-1]
-    flips = rng.random(children.shape) < config.mutation_prob
+    flips = rng.random(children.shape) < MUTATION_PROB
     children[flips] = 1 - children[flips]
     return children
 
@@ -234,7 +237,7 @@ def sequential_run_ga(problem, config):
     pop = rng.integers(0, 2, size=(config.population_size, problem.size), dtype=np.uint8)
     snapshots = [pop.copy()]
     for _ in range(config.generations):
-        pop = _sequential_next_generation(problem, pop, config, rng)
+        pop = _sequential_next_generation(problem, pop, rng)
         snapshots.append(pop.copy())
     return snapshots
 
@@ -264,7 +267,7 @@ def sequential_generational(problem, targets, config):
             for j, t in enumerate(targets):
                 hits[j, gen] += _sequential_observed(pop, t)
             if gen < config.generations:
-                pop = _sequential_next_generation(problem, pop, config, rng)
+                pop = _sequential_next_generation(problem, pop, rng)
     out = []
     for j, t in enumerate(targets):
         for gen in range(config.generations + 1):
@@ -274,20 +277,17 @@ def sequential_generational(problem, targets, config):
     return out
 
 
-def _reference_draws(rng, n, width, config):
+def _reference_draws(rng, n, width):
     """One run-generation's draws as one call each, in the order the
     sequential loop above makes them."""
     half = n // 2
     a = rng.integers(0, n, size=n)
     b = rng.integers(0, n, size=n)
     coin = rng.integers(0, 2, size=n).astype(bool)
-    cross = rng.random(half) < config.crossover_prob
+    cross = rng.random(half) < CROSSOVER_PROB
     swap = rng.integers(0, 2, size=(half, width)).astype(bool) & cross[:, None]
-    flips = rng.random((n, width)) < config.mutation_prob
+    flips = rng.random((n, width)) < MUTATION_PROB
     return a, b, coin, swap, flips
-
-
-_PROBS = [(0.9, 0.01), (1.0, 0.3), (0.0, 0.0)]
 
 
 def _as_tuples(points):
@@ -316,12 +316,11 @@ class TestStackedGa:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(_GA_PROBLEMS)), st.sampled_from([1, 2, 3, 4, 7, 10]),
            st.integers(0, 4), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
-           st.integers(1, 3), st.sampled_from(_PROBS))
-    def test_matches_sequential_reference(self, name, n, generations, runs, seed,
-                                          block_runs, probs):
+           st.integers(1, 3))
+    def test_matches_sequential_reference(self, name, n, generations, runs, seed, block_runs):
         problem = _GA_PROBLEMS[name]
         targets = _ga_targets(problem)
-        config = GaConfig(n, generations, *probs, runs=runs, seed=seed)
+        config = GaConfig(n, generations, runs=runs, seed=seed)
         with patch.object(gasim, "_BLOCK_ALLELES", block_runs * n * problem.size):
             got = _as_tuples(generational_observability(problem, targets, config))
             initial = _as_tuples(initial_observability(problem, targets, [0, n, 5], runs, seed))
@@ -429,17 +428,29 @@ class TestWorkers:
         assert 1 <= gasim._cpus() <= (os.cpu_count() or 1)
 
 
-def _buffer_a_half(rng):
-    """Draw one 32-bit value, so that a generator fresh from a seed holds
-    the high half of its first word."""
-    rng.integers(0, 2, dtype=np.int32)
+def _buffer_a_half(stream, rng):
+    """Read one 32-bit value from the stream and from ``rng``, so that each
+    holds the high half of the word it read."""
+    assert stream.take(stream.bits.random_raw(1), 1)[0] == rng.integers(2 ** 32, dtype=np.uint32)
+    assert stream.spare is not None
 
 
 def _assert_same_state(stream, rng):
     """The stream's generator and its carried half are ``rng``'s state."""
     state = rng.bit_generator.state
-    assert stream.rng.bit_generator.state["state"] == state["state"]
+    assert stream.bits.state["state"] == state["state"]
     assert stream.spare == (state["uinteger"] if state["has_uint32"] else None)
+
+
+def _decoded(stream, n, width, fill=False):
+    """``_draws`` of one run-generation into new arrays first filled with
+    ``fill`` (``ab`` with -1), so that a value it does not write shows."""
+    ab = np.full(2 * n, -1, dtype=np.int64)
+    coin = np.full(n, fill)
+    swap = np.full((n // 2, width), fill)
+    flips = np.full((n, width), fill)
+    gasim._draws(stream, ab, coin, swap, flips)
+    return ab, coin, swap, flips
 
 
 class TestDraws:
@@ -449,25 +460,19 @@ class TestDraws:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.sampled_from([1, 2, 3, 500, 599]), st.integers(1, 600)),
-           st.integers(1, 30), st.sampled_from(_PROBS), st.integers(0, 2 ** 32 - 1),
-           st.booleans())
-    @example(1, 1, (0.9, 0.01), 0, False)
-    @example(1, 1, (0.9, 0.01), 0, True)
-    @example(2, 3, (0.0, 0.0), 3, True)
-    @example(599, 25, (0.9, 0.01), 1, False)
-    @example(600, 30, (1.0, 0.3), 2, True)
-    def test_same_stream_as_one_call_each(self, n, width, probs, seed, buffered):
-        config = GaConfig(n, 1, *probs)
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+           st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    @example(1, 1, 0, False, False)
+    @example(1, 1, 0, True, True)
+    @example(2, 3, 3, True, False)
+    @example(599, 25, 1, False, True)
+    @example(600, 30, 2, True, False)
+    def test_same_stream_as_one_call_each(self, n, width, seed, buffered, fill):
+        stream, theirs = gasim._Stream(seed), np.random.default_rng(seed)
         if buffered:
-            _buffer_a_half(mine)
-            _buffer_a_half(theirs)
-        stream = gasim._Stream(mine)
-        assert (stream.spare is not None) == buffered
-        ab, coin, swap, flips = gasim._draws(stream, n, width, config)
-        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width, config)
+            _buffer_a_half(stream, theirs)
+        ab, coin, swap, flips = _decoded(stream, n, width, fill)
+        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width)
         assert np.array_equal(ab, np.concatenate([a, b]))
-        assert coin.dtype == swap.dtype == flips.dtype == bool
         assert np.array_equal(coin, coin_ref)
         assert np.array_equal(swap, swap_ref)
         assert np.array_equal(flips, flips_ref)
@@ -480,11 +485,9 @@ class TestDraws:
     @example(1, 1, 1, 0, True)
     @example(2, 1, 1, 0, False)
     def test_populations_are_numpy_uint8_draws(self, runs, n, width, seed, buffered):
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        stream, theirs = gasim._Stream(seed), np.random.default_rng(seed)
         if buffered:
-            _buffer_a_half(mine)
-            _buffer_a_half(theirs)
-        stream = gasim._Stream(mine)
+            _buffer_a_half(stream, theirs)
         pops = gasim._populations(stream, runs, n, width)
         ref = np.stack([theirs.integers(0, 2, size=(n, width), dtype=np.uint8)
                         for _ in range(runs)])
@@ -492,13 +495,11 @@ class TestDraws:
         assert np.array_equal(pops, ref)
         _assert_same_state(stream, theirs)
 
-    def _assert_draws_match(self, mine, theirs, n, width):
-        """``_draws`` from ``mine`` equals ``_reference_draws`` from
+    def _assert_draws_match(self, stream, theirs, n, width):
+        """``_draws`` from ``stream`` equals ``_reference_draws`` from
         ``theirs``, and leaves the same generator state."""
-        config = GaConfig(n, 1)
-        stream = gasim._Stream(mine)
-        ab, coin, swap, flips = gasim._draws(stream, n, width, config)
-        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width, config)
+        ab, coin, swap, flips = _decoded(stream, n, width)
+        a, b, coin_ref, swap_ref, flips_ref = _reference_draws(theirs, n, width)
         assert np.array_equal(ab, np.concatenate([a, b]))
         assert np.array_equal(coin, coin_ref)
         assert np.array_equal(swap, swap_ref)
@@ -517,12 +518,13 @@ class TestDraws:
         probe.bit_generator.advance(word)
         u = int(probe.bit_generator.random_raw()) >> (32 if high else 0) & 0xFFFFFFFF
         assert u * n % 2 ** 32 < 2 ** 32 % n
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (mine, theirs):
-            rng.bit_generator.advance(word - (buffered and not high))
-            if buffered:
-                _buffer_a_half(rng)
-        self._assert_draws_match(mine, theirs, n, 25)
+        stream, theirs = gasim._Stream(seed), np.random.default_rng(seed)
+        skip = word - (buffered and not high)
+        stream.bits.advance(skip)
+        theirs.bit_generator.advance(skip)
+        if buffered:
+            _buffer_a_half(stream, theirs)
+        self._assert_draws_match(stream, theirs, n, 25)
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_rejections_among_the_redrawn_values(self, buffered):
@@ -530,15 +532,15 @@ class TestDraws:
         # seed 224 rejects dozens of its first 2n values, and more among the
         # values that replace them: the decoder reads three times
         n = 3 * 2 ** 17
-        probe, mine, theirs = (np.random.default_rng(224) for _ in range(3))
+        stream, theirs = gasim._Stream(224), np.random.default_rng(224)
         if buffered:
-            for rng in (probe, mine, theirs):
-                _buffer_a_half(rng)
+            _buffer_a_half(stream, theirs)
+        probe = copy.deepcopy(theirs)
         u = probe.integers(0, 2 ** 32, size=2 * n + 100, dtype=np.uint32).astype(np.uint64)
         rejected = np.cumsum(u * n % 2 ** 32 < 2 ** 32 % n)
         first = rejected[2 * n - 1]
         assert 0 < first < rejected[2 * n + first - 1]
-        self._assert_draws_match(mine, theirs, n, 1)
+        self._assert_draws_match(stream, theirs, n, 1)
 
     def test_redraw_in_a_block_of_runs(self, problem25, targets25):
         # GA seed 5 makes one Lemire redraw in its first 200 runs: run 26
@@ -553,15 +555,21 @@ class TestDraws:
         assert [c.args[0] for c in spy.call_args_list].count(3 * 500 + 1) == 1
         assert _as_tuples(points) == sequential_generational(problem25, targets25, config)
 
-    @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 0.01, 0.3, 0.9, 1 - 2.0 ** -53, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 0.01, 0.3, 0.9, 1 - 2.0 ** -53])
     def test_below_is_random_below_p(self, p):
         # words on both sides of the bound, and the extremes
-        edge = min(math.ceil(p * 2 ** 53), 2 ** 53 - 1) << 11
+        edge = math.ceil(p * 2 ** 53) << 11
         words = np.array([w % 2 ** 64 for w in (0, 1, edge - 1, edge, edge + 1, edge + 2047,
                                                  edge + 2048, 2 ** 64 - 1)], dtype=np.uint64)
         doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        assert np.array_equal(gasim._below(words, p), doubles < p)
+        assert np.array_equal(words < gasim._bound(p), doubles < p)
 
-    def test_needs_pcg64(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            gasim._Stream(np.random.Generator(np.random.MT19937(0)))
+    def test_takes_integer_seeds_only(self):
+        # a fresh default_rng(int) is PCG64 with no buffered half
+        for seed in (np.random.default_rng(0), np.random.Generator(np.random.MT19937(0)),
+                     None, 1.5, "3"):
+            with pytest.raises(TypeError):
+                gasim._Stream(seed)
+        stream = gasim._Stream(np.int64(3))
+        _assert_same_state(stream, np.random.default_rng(3))
+        assert stream.spare is None
