@@ -270,18 +270,16 @@ def cmd_weak_observability(args) -> int:
     wanted = None if args.blocks is None else _int_list(args.blocks)
     sizes = [_at_least(n, 0, "population size") for n in _int_list(args.population_sizes)]
     problem = problems.weak_observability_problem()
-    all_targets = gasim.block_targets(problem)
+    targets = problem.blocks
     if wanted is not None:
-        orders = [t.order for t in all_targets]
+        orders = list(map(gasim.block_order, targets))
         unknown = [w for w in wanted if w not in orders]
         if unknown:
             raise ProblemSpecError(
                 f"--blocks: no block has order {', '.join(map(str, unknown))}; "
                 f"the orders are {', '.join(map(str, orders))}"
             )
-        targets = [t for t in all_targets if t.order in wanted]
-    else:
-        targets = all_targets
+        targets = [t for t, order in zip(targets, orders) if order in wanted]
     points = gasim.initial_observability(problem, targets, sizes, args.runs, args.seed)
     config = gasim.GaConfig(
         population_size=args.population,

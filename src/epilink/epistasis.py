@@ -24,7 +24,6 @@ from .model import (
     check_loci,
     global_optimum,
     optima_grid,
-    psi_at,
 )
 
 
@@ -34,12 +33,12 @@ class EpistasisKind(enum.Enum):
     NONSTRICT = "nonstrict"
 
 
-def order1_kind(psi: frozenset[int], optimal: int) -> EpistasisKind:
-    """The order-1 kind from u to v, given ``psi``, the alleles optimal at v
-    with u set wrong, and ``optimal``, v's globally optimal allele."""
-    if psi == frozenset((optimal,)):
+def order1_kind(code: int, optimal: int) -> EpistasisKind:
+    """The order-1 kind from u to v, given ``code``, v's ``OptimaGrid``
+    allele code with u set wrong, and ``optimal``, v's globally optimal allele."""
+    if code == 1 << optimal:
         return EpistasisKind.NONE
-    if psi == frozenset((1 - optimal,)):
+    if code == 1 << (1 - optimal):
         return EpistasisKind.STRICT
     return EpistasisKind.NONSTRICT
 
@@ -54,7 +53,8 @@ def order1(problem, u: int, v: int, cap: int = DEFAULT_CAP) -> EpistasisKind:
     if u == v:
         raise ValueError("order-1 epistasis needs two distinct loci")
     g = global_optimum(problem, cap)
-    return order1_kind(psi_at(problem, Assignment(((u, 1 - g[u]),)), v, cap), g[v])
+    grid = optima_grid(problem, Assignment(((u, 1 - g[u]),)), (), cap)
+    return order1_kind(int(grid.alleles((v,))[0, 0]), g[v])
 
 
 def _first_witnesses(grid: OptimaGrid) -> np.ndarray:

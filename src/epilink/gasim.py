@@ -25,7 +25,7 @@ import operator
 import os
 from dataclasses import dataclass
 from itertools import groupby, islice, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,22 +44,6 @@ class GaConfig:
             raise ValueError("population size must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-
-
-@dataclass(frozen=True)
-class ObservabilityTarget:
-    """Loci whose joint all-zeros pattern counts as 'epistasis observed'.
-
-    For a modified-OneMax block the witness is the whole block at zero:
-    the pattern enabling the bonus fitness.
-    """
-
-    loci: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        # a b-locus block carries weak epistases of order b-1
-        return len(self.loci) - 1
 
 
 # Alleles per stacked block of runs; 5 runs of 500 x 25.  Larger blocks
@@ -217,19 +201,19 @@ def _next_generation(problem, pops: np.ndarray, streams) -> np.ndarray:
     return children
 
 
-def _witness_counts(pops: np.ndarray, targets: Sequence[ObservabilityTarget]) -> np.ndarray:
+def _witness_counts(pops: np.ndarray, targets: Sequence[Sequence[int]]) -> np.ndarray:
     """Number of populations in the (runs, n, loci) stack holding each
-    target's witness.
+    target's witness: a member with all its loci, a tuple of them, at zero.
 
     The targets' loci are gathered once, loci-major, so each target ORs
     whole rows of n alleles: a population lacks the witness iff every
     member has a one among the target's loci.
     """
-    cols = pops.transpose(0, 2, 1)[:, [i for t in targets for i in t.loci]]
+    cols = pops.transpose(0, 2, 1)[:, [i for t in targets for i in t]]
     counts = np.empty(len(targets), dtype=np.int64)
     lo = 0
     for j, t in enumerate(targets):
-        hi = lo + len(t.loci)
+        hi = lo + len(t)
         lacking = np.bitwise_or.reduce(cols[:, lo:hi], axis=1).all(axis=1)
         counts[j] = len(pops) - np.count_nonzero(lacking)
         lo = hi
@@ -246,6 +230,11 @@ class ObservabilityPoint:
     stderr: float
 
 
+def block_order(loci: Sequence[int]) -> int:
+    """The order of the weak epistases that a block of b loci carries: b - 1."""
+    return len(loci) - 1
+
+
 def _points(targets, n: int, hits: np.ndarray, runs: int) -> list[ObservabilityPoint]:
     """Points of (targets, generations + 1) witness counts over ``runs`` runs
     of population ``n``, target by target, then generation by generation."""
@@ -253,7 +242,7 @@ def _points(targets, n: int, hits: np.ndarray, runs: int) -> list[ObservabilityP
     for t, row in zip(targets, hits.tolist()):
         for gen, hit in enumerate(row):
             p = hit / runs
-            out.append(ObservabilityPoint(t.order, n, gen, p, runs, math.sqrt(p * (1 - p) / runs)))
+            out.append(ObservabilityPoint(block_order(t), n, gen, p, runs, math.sqrt(p * (1 - p) / runs)))
     return out
 
 
@@ -280,7 +269,7 @@ def _run_hits(problem, targets, n: int, generations: int, streams: Iterable[_Str
 
 def initial_observability(
     problem,
-    targets: Sequence[ObservabilityTarget],
+    targets: Sequence[Sequence[int]],
     population_sizes: Sequence[int],
     runs: int,
     seed: int,
@@ -310,10 +299,10 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -> np.ndarray:
-    """``_run_hits`` of the runs seeded by ``shares``, summed: the first share
-    in this process, each other one in a forked worker that sends its
-    counts back through a pipe.
+def _forked_hits(hits_of: Callable[[np.ndarray], np.ndarray], shares: list[np.ndarray]) -> np.ndarray:
+    """``hits_of(share)`` summed over ``shares``: the first share in this
+    process, each other one in a forked worker that sends its array back
+    through a pipe.  Each array has the shape and dtype of the first.
 
     Plain ``os.fork``: a spawned worker would import numpy again (about
     0.2 s of CPU each), and importing ``multiprocessing`` alone adds about
@@ -326,12 +315,11 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _send_hits(write, problem, targets, config, share)
+                _send_hits(write, hits_of, share)
             os.close(write)
             pids.append(pid)
             pipes.append(os.fdopen(read, "rb"))
-        hits = _run_hits(problem, targets, config.population_size, config.generations,
-                         map(_Stream, shares[0]))
+        hits = hits_of(shares[0])
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -344,16 +332,13 @@ def _forked_hits(problem, targets, config: GaConfig, shares: list[np.ndarray]) -
     return hits
 
 
-def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray) -> None:
-    """A forked worker's body: writes ``_run_hits`` of the runs seeded by
-    ``seeds`` to the pipe ``write`` and ends the process, never returning
-    into the caller's code."""
+def _send_hits(write: int, hits_of: Callable[[np.ndarray], np.ndarray], share: np.ndarray) -> None:
+    """A forked worker's body: writes ``hits_of(share)`` to the pipe
+    ``write`` and ends the process, never returning into the caller's code."""
     code = 1
     try:
         with os.fdopen(write, "wb") as pipe:
-            hits = _run_hits(problem, targets, config.population_size, config.generations,
-                             map(_Stream, seeds))
-            pipe.write(hits.tobytes())
+            pipe.write(hits_of(share).tobytes())
         code = 0
     except BaseException:
         # Not re-raised: unwinding would run the caller's code a second time.
@@ -366,7 +351,7 @@ def _send_hits(write: int, problem, targets, config: GaConfig, seeds: np.ndarray
 
 def generational_observability(
     problem,
-    targets: Sequence[ObservabilityTarget],
+    targets: Sequence[Sequence[int]],
     config: GaConfig,
 ) -> list[ObservabilityPoint]:
     """Probability of observing each witness per generation, averaged over
@@ -384,12 +369,8 @@ def generational_observability(
     workers = min(_cpus(), blocks)
     cuts = [step * (blocks * w // workers) for w in range(workers + 1)]
     hits = _forked_hits(
-        problem, targets, config, [run_seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        lambda seeds: _run_hits(problem, targets, config.population_size, config.generations,
+                                map(_Stream, seeds)),
+        [run_seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])],
     )
     return _points(targets, config.population_size, hits, config.runs)
-
-
-def block_targets(problem) -> list[ObservabilityTarget]:
-    """One witness target per block of a modified-OneMax concatenation,
-    on the chromosome loci of ``problem.blocks``."""
-    return [ObservabilityTarget(block) for block in problem.blocks]

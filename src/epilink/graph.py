@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import ProblemSpecError
-from .model import DEFAULT_CAP, Assignment, constrained_optima, global_optimum
+from .model import DEFAULT_CAP, Assignment, global_optimum, optima_grid
 from . import epistasis
 from .epistasis import EpistasisKind
 
@@ -53,14 +53,14 @@ class EpistaticGraph:
 
 def build_eg(problem, cap: int = DEFAULT_CAP) -> EpistaticGraph:
     """Classify every ordered locus pair to obtain the epistatic graph: one
-    constrained-optima scan per locus u set wrong classifies every v."""
+    scan per locus u set wrong reads the allele code of every other v."""
     g = global_optimum(problem, cap)
     edges = set()
     for u in range(problem.size):
-        per_locus = constrained_optima(problem, Assignment(((u, 1 - g[u]),)), cap).per_locus
-        for v in range(problem.size):
-            kind = epistasis.order1_kind(per_locus[v], g[v])
-            if v != u and kind is not EpistasisKind.NONE:
+        grid = optima_grid(problem, Assignment(((u, 1 - g[u]),)), (), cap)
+        for v, code in zip(grid.free, grid.alleles(grid.free)[0].tolist()):
+            kind = epistasis.order1_kind(code, g[v])
+            if kind is not EpistasisKind.NONE:
                 edges.add((u, v, kind.value))
     return EpistaticGraph(problem.size, frozenset(edges))
 

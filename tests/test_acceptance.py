@@ -14,7 +14,6 @@ from epilink import epistasis as ep
 from epilink.decomposition import ipe, pac_sweep, partial_enumeration
 from epilink.gasim import (
     GaConfig,
-    block_targets,
     generational_observability,
     initial_observability,
 )
@@ -213,7 +212,7 @@ def test_criterion_11_failure_trend():
 
 def test_criterion_12_observability_trends():
     problem = weak_observability_problem()
-    targets = block_targets(problem)
+    targets = problem.blocks
     sizes = [10, 20, 50, 100, 200, 500, 1000]
     runs = 1000
     initial = initial_observability(problem, targets, sizes, runs=runs, seed=2)

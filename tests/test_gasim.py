@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from epilink import gasim
 from epilink.gasim import (
     GaConfig,
-    ObservabilityTarget,
-    block_targets,
+    block_order,
     generational_observability,
     initial_observability,
     _next_generation,
@@ -48,7 +47,7 @@ def problem25():
 
 @pytest.fixture(scope="module")
 def targets25(problem25):
-    return block_targets(problem25)
+    return problem25.blocks
 
 
 class TestConfig:
@@ -108,24 +107,23 @@ class TestRunGa:
 
 class TestObservability:
     def test_block_targets_layout(self, targets25):
-        assert [t.loci for t in targets25] == [
+        assert list(targets25) == [
             tuple(range(0, 3)),
             tuple(range(3, 7)),
             tuple(range(7, 12)),
             tuple(range(12, 18)),
             tuple(range(18, 25)),
         ]
-        assert [t.order for t in targets25] == [2, 3, 4, 5, 6]
+        assert [block_order(t) for t in targets25] == [2, 3, 4, 5, 6]
 
     def test_block_targets_are_the_permuted_blocks(self):
         # each target is a block on chromosome loci: zeroing exactly its
         # loci, with every other locus one, earns that block's 1.5 bonus
         problem = OneMaxPrimeConcat((3, 2, 4), permutation=[4, 7, 0, 8, 2, 6, 1, 3, 5])
-        targets = block_targets(problem)
-        assert [t.loci for t in targets] == list(problem.blocks)
-        for target, size in zip(targets, problem.block_sizes):
+        assert problem.blocks == ((4, 7, 0), (8, 2), (6, 1, 3, 5))
+        for target, size in zip(problem.blocks, problem.block_sizes):
             x = np.ones(problem.size, dtype=np.uint8)
-            x[list(target.loci)] = 0
+            x[list(target)] = 0
             assert problem.evaluate(x) == 2 * (problem.size - size) + 3
 
     def test_closed_form(self):
@@ -187,7 +185,12 @@ class TestObservability:
         assert [(pt.population_size, pt.probability) for pt in points] == [(0, 0.0)]
 
     def test_target_order(self):
-        assert ObservabilityTarget((0, 1, 2, 3)).order == 3
+        # a block of b loci carries weak epistases of order b - 1, and each
+        # point reports its target's order
+        assert [block_order(t) for t in [(0,), (3, 1), (0, 1, 2, 3), range(7)]] == [0, 1, 3, 6]
+        points = gasim._points([(4, 2, 9), (5,)], 10, np.array([[1, 2], [0, 3]]), 4)
+        assert [(pt.block_order, pt.generation, pt.probability) for pt in points] == [
+            (2, 0, 0.25), (2, 1, 0.5), (0, 0, 0.0), (0, 1, 0.75)]
 
 
 # The per-run loop that the stacked GA replaced, kept as its reference,
@@ -229,7 +232,7 @@ def _sequential_next_generation(problem, pop, rng):
 
 
 def _sequential_observed(pop, target):
-    return bool((pop[:, list(target.loci)] == 0).all(axis=1).any())
+    return bool((pop[:, list(target)] == 0).all(axis=1).any())
 
 
 def sequential_run_ga(problem, config):
@@ -253,7 +256,7 @@ def sequential_initial(problem, targets, population_sizes, runs, seed):
                 hits[t] += _sequential_observed(pop, t)
         for t in targets:
             p = hits[t] / runs
-            out.append((t.order, n, 0, p, runs, math.sqrt(p * (1 - p) / runs)))
+            out.append((len(t) - 1, n, 0, p, runs, math.sqrt(p * (1 - p) / runs)))
     return out
 
 
@@ -272,7 +275,7 @@ def sequential_generational(problem, targets, config):
     for j, t in enumerate(targets):
         for gen in range(config.generations + 1):
             p = hits[j, gen] / config.runs
-            out.append((t.order, config.population_size, gen, p, config.runs,
+            out.append((len(t) - 1, config.population_size, gen, p, config.runs,
                         math.sqrt(p * (1 - p) / config.runs)))
     return out
 
@@ -305,8 +308,8 @@ _GA_PROBLEMS = {
 
 def _ga_targets(problem):
     if isinstance(problem, OneMaxPrimeConcat):
-        return block_targets(problem)
-    return [ObservabilityTarget((0, 1)), ObservabilityTarget((2, 5, 6))]
+        return problem.blocks
+    return [(0, 1), (2, 5, 6)]
 
 
 class TestStackedGa:
@@ -342,8 +345,7 @@ class TestStackedGa:
         pops = np.ones((3, 2, 4), dtype=np.uint8)
         pops[0, 1, :2] = 0
         pops[2, 0, 1:3] = 0
-        targets = [ObservabilityTarget((0, 1)), ObservabilityTarget((1, 2)),
-                   ObservabilityTarget((1,))]
+        targets = [(0, 1), (1, 2), (1,)]
         assert gasim._witness_counts(pops, targets).tolist() == [1, 1, 2]
         assert gasim._witness_counts(pops[:, :0], targets).tolist() == [0, 0, 0]
 
@@ -353,8 +355,7 @@ class TestStackedGa:
         # targets may be non-contiguous, unordered, overlapping or empty,
         # and need not cover every locus (as with --blocks)
         loci = st.lists(st.integers(0, width - 1), max_size=width, unique=True)
-        targets = [ObservabilityTarget(tuple(t))
-                   for t in data.draw(st.lists(loci, max_size=5))]
+        targets = [tuple(t) for t in data.draw(st.lists(loci, max_size=5))]
         pops = np.array(data.draw(st.lists(st.integers(0, 1), min_size=runs * n * width,
                                            max_size=runs * n * width)),
                         dtype=np.uint8).reshape(runs, n, width)
@@ -378,9 +379,9 @@ class TestWorkers:
         forked = gasim._forked_hits
         shares = []
 
-        def spy(problem, targets, config, parts):
+        def spy(hits_of, parts):
             shares.append([len(p) for p in parts])
-            return forked(problem, targets, config, parts)
+            return forked(hits_of, parts)
 
         points = {}
         with patch.object(gasim, "_BLOCK_ALLELES", 3 * n * problem.size), \
@@ -423,6 +424,12 @@ class TestWorkers:
                 patch.object(gasim, "_cpus", return_value=2), \
                 pytest.raises(RuntimeError, match="exit code 1"):
             generational_observability(problem, targets25, config)
+
+    def test_forked_hits_sums_each_share(self):
+        # the fork code sums whatever array the callable returns per share
+        shares = [np.arange(3), np.arange(3, 5), np.arange(5, 9)]
+        hits = gasim._forked_hits(lambda share: np.array([[share.sum(), len(share)]]), shares)
+        assert hits.tolist() == [[36, 9]]
 
     def test_cpus(self):
         assert 1 <= gasim._cpus() <= (os.cpu_count() or 1)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epilink import problems
+from epilink.epistasis import order1
 from epilink.graph import EpistaticGraph, build_eg
 from epilink.model import (
     EMPTY,
@@ -381,13 +382,59 @@ class TestTableRule:
             assert (grid.fitness[row], grid.count[row]) == (best, len(maximizers))
 
 
-def brute_force_eg(problem, g):
-    """Order-1 edges from the brute-force maximizers with each locus set wrong."""
-    edges = set()
+def brute_force_kinds(problem, g):
+    """The order-1 kind of every ordered locus pair (u, v), named as in
+    ``EpistasisKind``, from the brute-force maximizers with u set wrong."""
+    kinds = {}
     for u in range(problem.size):
         _, maximizers = brute_force(problem, Assignment(((u, 1 - g[u]),)))
         for v in range(problem.size):
             alleles = {c[v] for c in maximizers}
-            if v != u and alleles != {g[v]}:
-                edges.add((u, v, "strict" if alleles == {1 - g[v]} else "nonstrict"))
+            if v != u:
+                kinds[u, v] = ("none" if alleles == {g[v]} else
+                               "strict" if alleles == {1 - g[v]} else "nonstrict")
+    return kinds
+
+
+def brute_force_eg(problem, g):
+    """Order-1 edges from the brute-force maximizers with each locus set wrong."""
+    edges = {(u, v, kind) for (u, v), kind in brute_force_kinds(problem, g).items() if kind != "none"}
     return EpistaticGraph(problem.size, frozenset(edges))
+
+
+def tied_lookup(size, seed, permutation=None):
+    """A lookup table of ``size`` loci whose values are drawn from 0..3,
+    so that maximizers tie and loci take both alleles (code 3), with one
+    top value of 4 so that the global optimum is unique."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, size=2 ** size)
+    values[rng.integers(2 ** size)] = 4
+    return LookupTable(values.tolist(), permutation)
+
+
+@st.composite
+def tied_lookups(draw):
+    size = draw(st.integers(2, 8))
+    perm = draw(st.none() | st.permutations(range(size)))
+    return tied_lookup(size, draw(st.integers(0, 2 ** 32 - 1)), perm)
+
+
+class TestOrder1Differential:
+    """``build_eg`` and ``order1`` read each kind from an optima-grid allele
+    code; brute force reads it from the maximizers themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_lookups())
+    def test_matches_brute_force(self, problem):
+        (g,) = brute_force(problem, EMPTY)[1]
+        kinds = brute_force_kinds(problem, g)
+        assert build_eg(problem) == brute_force_eg(problem, g)
+        assert {pair: order1(problem, *pair).value for pair in kinds} == kinds
+
+    def test_draws_reach_every_kind(self):
+        # the tables above give strict and non-strict edges, and pairs with none
+        found = set()
+        for seed in range(10):
+            problem = tied_lookup(4, seed)
+            found |= set(brute_force_kinds(problem, brute_force(problem, EMPTY)[1][0]).values())
+        assert found == {"none", "strict", "nonstrict"}
